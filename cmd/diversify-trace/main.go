@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -78,6 +79,9 @@ func run(args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *reps < 0 || *workers < 0 || !(*horizon >= 0) || math.IsInf(*horizon, 1) {
+		return fmt.Errorf("-reps %d, -workers %d and -horizon %v must be non-negative and finite", *reps, *workers, *horizon)
 	}
 	out := stdout
 	if *outPath != "" {

@@ -120,3 +120,17 @@ func TestUnknownModeAndBadFlags(t *testing.T) {
 		t.Error("bad rotation selector accepted")
 	}
 }
+
+// Negative counts and windows are errors in every mode, not defaults.
+func TestNegativeFlagsRejected(t *testing.T) {
+	for _, mode := range []string{"dump", "summary", "diff"} {
+		for _, flags := range [][]string{
+			{"-reps", "-3"}, {"-horizon", "-1"}, {"-horizon", "NaN"}, {"-workers", "-2"},
+		} {
+			var out bytes.Buffer
+			if err := run(append([]string{"-mode", mode}, flags...), &out); err == nil {
+				t.Errorf("-mode %s %v accepted", mode, flags)
+			}
+		}
+	}
+}

@@ -273,7 +273,9 @@ type OptimizeConfig struct {
 	Population int
 	// Reps is the Monte-Carlo replication count per candidate (default
 	// 50); HorizonHours the observation window (default 720); Seed makes
-	// the search reproducible; Workers bounds parallelism.
+	// the search reproducible; Workers bounds parallelism (default
+	// GOMAXPROCS). Zero selects the default; a negative count or a
+	// negative, NaN or infinite horizon is an error.
 	Reps         int
 	HorizonHours float64
 	Seed         uint64
@@ -336,8 +338,8 @@ func buildTopology(sel string) (*topology.Topology, error) {
 		spec := topology.DefaultMeshedGridSpec(subs)
 		if pinned {
 			regions, err := strconv.Atoi(regionsStr)
-			if err != nil || regions <= 0 {
-				return nil, fmt.Errorf("diversify: topology %q: region count must be a positive integer", sel)
+			if err != nil || regions <= 0 || regions > subs {
+				return nil, fmt.Errorf("diversify: topology %q: region count must be a positive integer no larger than the substation count", sel)
 			}
 			spec.Regions = regions
 		}

@@ -93,6 +93,37 @@ func TestThreatProfiles(t *testing.T) {
 	}
 }
 
+// Zero means "default"; anything else invalid is an error instead of
+// being silently replaced by the default.
+func TestOptimizeRejectsInvalidInput(t *testing.T) {
+	valid := OptimizeConfig{
+		Topology: "powergrid", Strategy: "greedy",
+		Classes: []string{"OS"}, Budget: 12,
+		Reps: 2, HorizonHours: 24, Seed: 3, Iterations: 1,
+	}
+	for name, mutate := range map[string]func(*OptimizeConfig){
+		"negative reps":          func(c *OptimizeConfig) { c.Reps = -3 },
+		"negative horizon":       func(c *OptimizeConfig) { c.HorizonHours = -1 },
+		"NaN horizon":            func(c *OptimizeConfig) { c.HorizonHours = math.NaN() },
+		"infinite horizon":       func(c *OptimizeConfig) { c.HorizonHours = math.Inf(1) },
+		"negative workers":       func(c *OptimizeConfig) { c.Workers = -2 },
+		"negative population":    func(c *OptimizeConfig) { c.Population = -1 },
+		"more regions than subs": func(c *OptimizeConfig) { c.Topology = "grid:3:9" },
+	} {
+		cfg := valid
+		mutate(&cfg)
+		if _, err := Optimize(cfg); err == nil {
+			t.Errorf("%s: accepted %+v", name, cfg)
+		}
+	}
+	if _, err := BuildTopology("grid:9:3"); err != nil {
+		t.Errorf("grid:9:3 rejected: %v", err)
+	}
+	if _, err := Optimize(valid); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
 func TestOptimizeFacade(t *testing.T) {
 	res, err := Optimize(OptimizeConfig{
 		Topology: "powergrid", Strategy: "greedy",

@@ -7,9 +7,32 @@
 // monotonically increasing sequence number), which keeps runs exactly
 // reproducible for a given seed.
 //
-// The package also provides Replicate, a parallel replication runner that
-// assigns each replication an independent RNG stream split from a campaign
-// seed, making results independent of the number of worker goroutines.
+// The package also provides Run, the one replication executor every
+// Monte-Carlo fan-out in the framework goes through (Replicate, the
+// campaign evaluator and the placement optimizer all sit on it). Its
+// contract:
+//
+//   - Streams. Replication i runs on the stream rng.New(seeds[i]). Each
+//     worker owns one *rng.Rand and reseeds it from seeds[i] before every
+//     attempt, so an outcome depends on the seed vector alone, never on
+//     the worker count or on which worker claims which replication.
+//     Streams derives the seed vector Replicate uses: successive
+//     SplitSeed draws of one root generator.
+//   - Batching. Workers claim contiguous index ranges of
+//     len(seeds)/(workers·4) replications (at least one) from a shared
+//     atomic cursor: few enough claims that dispatch is negligible, enough
+//     slack to balance replications of very different lengths.
+//   - Cancellation. A worker checks the context before every claim; once
+//     it is done (or another worker has failed) no further batch is
+//     claimed, in-flight replications drain, and Run returns ctx.Err().
+//   - Panics. A panicking replication is recovered and replayed on the
+//     same stream after a 1 ms·2^k backoff, up to three attempts; the
+//     body must treat any state it held when the panic struck as
+//     suspect. When the attempts run out Run returns the lowest-indexed
+//     *RepPanic, which matches ErrPanic under errors.Is.
+//   - Ownership. The *rng.Rand a body receives belongs to its worker and
+//     is reseeded for the next replication: a body must not keep it (or
+//     anything that draws from it) after it returns.
 package des
 
 import (
@@ -17,13 +40,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-
-	"diversify/internal/rng"
 )
 
-// ErrStopped is returned by Run when the simulation was halted by Stop.
+// ErrStopped is returned by Sim.Run when the simulation was halted by Stop.
 var ErrStopped = errors.New("des: simulation stopped")
 
 // Payload is the small typed argument of a payload callback: a node (or
@@ -393,65 +412,3 @@ func (s *Sim) Every(period float64, fn func(t float64)) (stop func()) {
 		ev.Cancel()
 	}
 }
-
-// Replicate runs n independent replications of body, spreading them over
-// workers goroutines (workers <= 0 selects GOMAXPROCS). Each replication
-// receives its index and a dedicated RNG stream derived deterministically
-// from seed, so the output slice is identical regardless of the worker
-// count. Results are returned in replication order.
-func Replicate[T any](n, workers int, seed uint64, body func(rep int, r *rng.Rand) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	// Derive all streams up front from a single root so assignment to
-	// workers cannot affect the streams.
-	root := rng.New(seed)
-	streams := make([]*rng.Rand, n)
-	for i := range streams {
-		streams[i] = root.Split()
-	}
-	out := make([]T, n)
-	var wg sync.WaitGroup
-	// Replication-level batching: workers claim contiguous index ranges
-	// instead of single replications, amortizing channel traffic while
-	// keeping dynamic load balancing. Each replication still runs its own
-	// pre-derived stream and writes only its own slot, so the output is
-	// identical for every worker count and batch size.
-	batch := n / (workers * replicateBatchFactor)
-	if batch < 1 {
-		batch = 1
-	}
-	next := make(chan [2]int, workers)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for span := range next {
-				for i := span[0]; i < span[1]; i++ {
-					out[i] = body(i, streams[i])
-				}
-			}
-		}()
-	}
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		next <- [2]int{lo, hi}
-	}
-	close(next)
-	wg.Wait()
-	return out
-}
-
-// replicateBatchFactor targets this many dispatches per worker: enough
-// slack for load balancing across uneven replication times, few enough
-// that channel traffic is negligible.
-const replicateBatchFactor = 4

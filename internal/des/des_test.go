@@ -233,16 +233,16 @@ func TestManyEventsThroughput(t *testing.T) {
 }
 
 func TestReplicateDeterministicAcrossWorkers(t *testing.T) {
-	body := func(rep int, r *rng.Rand) float64 {
+	body := func(rep int, r *rng.Rand) (float64, error) {
 		sum := 0.0
 		for i := 0; i < 100; i++ {
 			sum += r.Float64()
 		}
-		return sum
+		return sum, nil
 	}
-	one := Replicate(50, 1, 42, body)
-	four := Replicate(50, 4, 42, body)
-	sixteen := Replicate(50, 16, 42, body)
+	one := mustReplicate(t, 50, 1, 42, body)
+	four := mustReplicate(t, 50, 4, 42, body)
+	sixteen := mustReplicate(t, 50, 16, 42, body)
 	for i := range one {
 		if one[i] != four[i] || one[i] != sixteen[i] {
 			t.Fatalf("replication %d differs across worker counts: %v %v %v",
@@ -252,7 +252,7 @@ func TestReplicateDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestReplicateStreamsIndependent(t *testing.T) {
-	out := Replicate(20, 4, 7, func(rep int, r *rng.Rand) float64 { return r.Float64() })
+	out := mustReplicate(t, 20, 4, 7, func(rep int, r *rng.Rand) (float64, error) { return r.Float64(), nil })
 	seen := map[float64]bool{}
 	for _, v := range out {
 		if seen[v] {
@@ -263,9 +263,19 @@ func TestReplicateStreamsIndependent(t *testing.T) {
 }
 
 func TestReplicateZero(t *testing.T) {
-	if out := Replicate(0, 4, 1, func(int, *rng.Rand) int { return 1 }); out != nil {
-		t.Fatalf("Replicate(0) = %v, want nil", out)
+	out, err := Replicate(0, 4, 1, func(int, *rng.Rand) (int, error) { return 1, nil })
+	if out != nil || err != nil {
+		t.Fatalf("Replicate(0) = %v, %v; want nil, nil", out, err)
 	}
+}
+
+func mustReplicate[T any](t *testing.T, n, workers int, seed uint64, body func(int, *rng.Rand) (T, error)) []T {
+	t.Helper()
+	out, err := Replicate(n, workers, seed, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // Property: for random schedules, events always fire in nondecreasing time

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"diversify/internal/des"
 	"diversify/internal/diversity"
 	"diversify/internal/evalstore"
 	"diversify/internal/indicators"
@@ -32,39 +30,18 @@ type archived struct {
 	zoneOK bool
 }
 
-// Panic-isolation bounds: a replication whose campaign panics is retried
-// with the same stream seed (CRN holds) after an escalating backoff; a
-// replication that panics maxRepAttempts times in a row quarantines the
-// whole candidate instead of killing the process or deadlocking the
-// worker pool.
-const (
-	maxRepAttempts  = 3
-	repRetryBackoff = time.Millisecond
-)
-
 // quarantineValue is the objective value assigned to quarantined
 // candidates: finite (so JSON encoding and value comparisons stay
 // well-defined) but worse than any measurable score, so no strategy ever
 // prefers a quarantined candidate.
 const quarantineValue = math.MaxFloat64
 
-// repPanic is one replication's unrecoverable panic: the candidate that
-// triggered it is quarantined.
-type repPanic struct {
-	rep   int
-	cause any
-}
-
-func (p *repPanic) Error() string {
-	return fmt.Sprintf("optimize: evaluation of replication %d panicked %d times: %v", p.rep, maxRepAttempts, p.cause)
-}
-
 // Evaluator turns candidates into Scores by Monte-Carlo campaign
-// simulation. It owns
+// simulation on des.Run. It owns
 //
-//   - a pool of workers, each holding ONE reusable malware.Campaign
-//     (Reset between replications — construction is paid once per worker,
-//     not once per replication) and one RNG reseeded per replication;
+//   - a malware.Pool kept across candidates: one reusable campaign per
+//     worker, Reset between replications, so construction is paid once
+//     per worker, not once per replication;
 //   - a fixed vector of per-replication stream seeds, so every candidate
 //     is measured under common random numbers (identical attack luck),
 //     which makes candidate comparisons variance-reduced and the score a
@@ -79,7 +56,7 @@ func (p *repPanic) Error() string {
 //     recombination is never re-simulated.
 //
 // Score calls must come from one goroutine (the strategy loop); the
-// internal fan-out across workers is the only concurrency.
+// executor's fan-out across workers is the only concurrency.
 type Evaluator struct {
 	p     *Problem
 	seeds []uint64
@@ -90,9 +67,7 @@ type Evaluator struct {
 	ctx context.Context
 
 	nWorkers int
-	batch    int
-	camps    []*malware.Campaign
-	rands    []*rng.Rand
+	pool     *malware.Pool
 
 	// rotFPs[i] digests p.Rotations[i]; rotors[i][w] is worker w's engine
 	// for schedule i (nil column until first use).
@@ -105,12 +80,11 @@ type Evaluator struct {
 	misses  int
 	// quarantined counts candidates scored infeasible after repeated
 	// evaluation panics; retries counts panicked replication attempts
-	// that were replayed (atomic — workers count from their own
-	// goroutines); repHook is the fault-injection seam the robustness
-	// tests use (called once per replication attempt, before the
-	// campaign runs).
+	// that were replayed; repHook is the fault-injection seam the
+	// robustness tests use (called once per replication attempt, before
+	// the campaign runs).
 	quarantined int
-	retries     atomic.Int64
+	retries     int
 	repHook     func(c Candidate, rep int)
 
 	// sink, when non-nil, receives the telemetry event stream; started
@@ -135,55 +109,37 @@ type Evaluator struct {
 	storeHits      int
 	storePuts      int
 
-	// Per-replication result buffers, aggregated sequentially in
-	// replication order so float accumulation is independent of the
-	// worker count.
-	succBuf  []bool
-	detBuf   []bool
-	ttsfBuf  []float64
-	ratioBuf []float64
-	dwellBuf []float64
-	dcntBuf  []int
-	fhBuf    []float64
-	rotBuf   []int
-	reinfBuf []int
-	rcostBuf []float64
+	// reps[i] is replication i's contribution to the current candidate,
+	// aggregated sequentially in replication order so float accumulation
+	// is independent of the worker count.
+	reps []repSummary
 
 	// zoneBuf is the reusable scratch for MaxPerZone violation scans.
 	zoneBuf []diversity.Entry
+}
 
-	// Trace-capture state, allocated lazily by explain (the search itself
-	// always runs untraced — explanations replay only the candidates worth
-	// explaining under the same CRN streams). tracing gates the runRep
-	// hook; traceSampled[i] fixes WHICH replications capture, up front,
-	// from the same non-advancing stream digests malware.EvaluateTraced
-	// hashes, so the sampled set is a pure function of the seed.
-	tracing      bool
-	traceSampled []bool
-	tracers      []*trace.Tracer
-	traceBuf     []trace.Trace
+// repSummary is what one replication contributes to a Score.
+type repSummary struct {
+	success, detected                   bool
+	detections, rotations, reinfections int
+	ttsf, ratio, dwell, foothold, cost  float64
 }
 
 // newEvaluator prepares the worker pool for a normalized, validated
 // problem.
 func newEvaluator(p *Problem) (*Evaluator, error) {
-	w := p.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > p.Reps {
-		w = p.Reps
-	}
+	w := des.Workers(p.Reps, p.Workers)
 	root := rng.New(p.Seed)
 	seeds := make([]uint64, p.Reps)
 	for i := range seeds {
 		seeds[i] = root.Uint64()
 	}
-	// Replication-level batching: a few dispatches per worker amortize
-	// the claim synchronization while keeping load balancing dynamic.
-	batch := p.Reps / (w * 4)
-	if batch < 1 {
-		batch = 1
+	// Fail fast on an unusable campaign template.
+	pool, err := malware.NewPool(malware.Config{
+		Topo: p.Topo, Catalog: p.Catalog, Profile: p.Profile, FirewallVariant: p.FirewallVariant,
+	}, w)
+	if err != nil {
+		return nil, err
 	}
 	ev := &Evaluator{
 		p:        p,
@@ -192,36 +148,14 @@ func newEvaluator(p *Problem) (*Evaluator, error) {
 		repHook:  p.repHook,
 		seeds:    seeds,
 		nWorkers: w,
-		batch:    batch,
-		camps:    make([]*malware.Campaign, w),
-		rands:    make([]*rng.Rand, w),
+		pool:     pool,
 		rotFPs:   make([]uint64, len(p.Rotations)),
 		rotors:   make([][]*rotation.Engine, len(p.Rotations)),
 		cache:    map[uint64]Score{},
-		succBuf:  make([]bool, p.Reps),
-		detBuf:   make([]bool, p.Reps),
-		ttsfBuf:  make([]float64, p.Reps),
-		ratioBuf: make([]float64, p.Reps),
-		dwellBuf: make([]float64, p.Reps),
-		dcntBuf:  make([]int, p.Reps),
-		fhBuf:    make([]float64, p.Reps),
-		rotBuf:   make([]int, p.Reps),
-		reinfBuf: make([]int, p.Reps),
-		rcostBuf: make([]float64, p.Reps),
+		reps:     make([]repSummary, p.Reps),
 	}
 	for i, spec := range p.Rotations {
 		ev.rotFPs[i] = spec.Fingerprint()
-	}
-	for i := range ev.rands {
-		ev.rands[i] = rng.New(0) // reseeded before every replication
-	}
-	// Fail fast on an unusable campaign template.
-	probe := malware.Config{
-		Topo: p.Topo, Catalog: p.Catalog, Profile: p.Profile,
-		Rand: rng.New(p.Seed), FirewallVariant: p.FirewallVariant,
-	}
-	if _, err := malware.NewCampaign(probe); err != nil {
-		return nil, err
 	}
 	// And on unusable rotation schedules (missing variants, empty
 	// candidate sets) before any strategy pairs a placement with one.
@@ -314,8 +248,7 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 		}
 		var err error
 		s, err = e.simulate(c)
-		var rp *repPanic
-		if errors.As(err, &rp) {
+		if errors.Is(err, des.ErrPanic) {
 			// The candidate's evaluation panicked repeatedly: quarantine it —
 			// cached as infeasible so the search keeps moving and never
 			// revisits it — instead of killing the whole run.
@@ -371,15 +304,13 @@ func (e *Evaluator) value(s Score) float64 {
 	}
 }
 
-// simulate runs the replications for one candidate across the worker
-// pool and aggregates the indicators. It deliberately does not delegate
-// to malware.Evaluate, whose per-call pool and Split-derived streams fit
-// one-shot evaluations: here campaigns persist ACROSS candidates and
-// every candidate replays the same reseeded per-replication streams
-// (common random numbers). A behavioral change in either fan-out should
-// be considered for the other.
+// simulate runs the replications for one candidate on des.Run and
+// aggregates the indicators. Every candidate replays the same
+// per-replication seeds (common random numbers) on the evaluator's
+// long-lived pool. A replication that panics on every attempt comes
+// back as a *des.RepPanic, which quarantines the candidate.
 func (e *Evaluator) simulate(c Candidate) (Score, error) {
-	assignFn := c.A.Func()
+	assign := c.A.Func()
 	var engs []*rotation.Engine
 	if c.Rot >= 0 {
 		var err error
@@ -387,93 +318,59 @@ func (e *Evaluator) simulate(c Candidate) (Score, error) {
 			return Score{}, err
 		}
 	}
-	errs := make([]error, e.nWorkers)
-	panics := make([]*repPanic, e.nWorkers)
-	// poisoned flags a quarantine in progress: the other workers stop
-	// claiming work and drain their in-flight replication instead of
-	// finishing a candidate whose score will be discarded anyway.
-	var poisoned atomic.Bool
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(e.nWorkers)
-	for w := 0; w < e.nWorkers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				// Stop claiming work on cancellation (the in-flight
-				// replication drained before we got here) or when a sibling
-				// worker tripped a quarantine.
-				if poisoned.Load() || e.ctx.Err() != nil {
-					return
-				}
-				// Batched dynamic dispatch: replication i always runs stream
-				// seeds[i] and writes only slot i, so which worker claims a
-				// batch cannot matter.
-				hi := int(cursor.Add(int64(e.batch)))
-				lo := hi - e.batch
-				if lo >= e.p.Reps {
-					return
-				}
-				if hi > e.p.Reps {
-					hi = e.p.Reps
-				}
-				for i := lo; i < hi; i++ {
-					if err := e.runRepIsolated(w, i, c, assignFn, engs); err != nil {
-						var rp *repPanic
-						if errors.As(err, &rp) {
-							panics[w] = rp
-							poisoned.Store(true)
-						} else {
-							errs[w] = err
-						}
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Cancellation wins over partial measurements: the caller gets the
-	// context error, nothing is cached, and the replication buffers are
-	// simply abandoned.
-	if err := e.ctx.Err(); err != nil {
-		return Score{}, err
-	}
-	for _, err := range errs {
+	retries, err := des.Run(e.ctx, e.seeds, e.nWorkers, func(w, rep int, r *rng.Rand) error {
+		if e.repHook != nil {
+			e.repHook(c, rep)
+		}
+		var rot malware.Rotator
+		if engs != nil {
+			rot = engs[w]
+		}
+		out, err := e.pool.Run(w, rep, r, assign, rot, e.p.Horizon)
 		if err != nil {
-			return Score{}, err
+			return err
 		}
-	}
-	// Quarantine beats partial measurements: report the lowest-indexed
-	// panicking replication (deterministic when several workers trip).
-	var quar *repPanic
-	for _, rp := range panics {
-		if rp != nil && (quar == nil || rp.rep < quar.rep) {
-			quar = rp
+		ttsf := out.Horizon
+		if out.Detected {
+			ttsf = out.TTSF
 		}
+		e.reps[rep] = repSummary{
+			success: out.Success, detected: out.Detected,
+			detections: out.Detections, rotations: out.Rotations, reinfections: out.Reinfections,
+			ttsf: ttsf, ratio: indicators.RatioAt(out.Compromised, out.Horizon),
+			dwell: out.DwellTime(), foothold: out.FootholdTime, cost: out.RotationCost,
+		}
+		return nil
+	})
+	e.retries += retries
+	var rp *des.RepPanic
+	if errors.As(err, &rp) && e.sink != nil {
+		e.sink.Emit(telemetry.WorkerQuarantined{
+			Worker: rp.Worker, Replication: rp.Rep, Attempts: rp.Attempts, Cause: fmt.Sprint(rp.Cause),
+		})
 	}
-	if quar != nil {
-		return Score{}, quar
+	if err != nil {
+		return Score{}, err
 	}
 	// Aggregate in replication order: float accumulation is then
 	// independent of the worker count.
 	var s Score
 	succ, det, dcnt, rot, reinf := 0, 0, 0, 0, 0
-	for i := 0; i < e.p.Reps; i++ {
-		if e.succBuf[i] {
+	for _, r := range e.reps {
+		if r.success {
 			succ++
 		}
-		if e.detBuf[i] {
+		if r.detected {
 			det++
 		}
-		dcnt += e.dcntBuf[i]
-		rot += e.rotBuf[i]
-		reinf += e.reinfBuf[i]
-		s.MeanTTSF += e.ttsfBuf[i]
-		s.FinalRatio += e.ratioBuf[i]
-		s.MeanDetLatency += e.dwellBuf[i]
-		s.MeanFoothold += e.fhBuf[i]
-		s.MeanRotationCost += e.rcostBuf[i]
+		dcnt += r.detections
+		rot += r.rotations
+		reinf += r.reinfections
+		s.MeanTTSF += r.ttsf
+		s.FinalRatio += r.ratio
+		s.MeanDetLatency += r.dwell
+		s.MeanFoothold += r.foothold
+		s.MeanRotationCost += r.cost
 	}
 	n := float64(e.p.Reps)
 	s.PSuccess = float64(succ) / n
@@ -489,152 +386,21 @@ func (e *Evaluator) simulate(c Candidate) (Score, error) {
 	return s, nil
 }
 
-// runRepIsolated runs replication i on worker w with panic isolation:
-// a panicking evaluation tears down the worker's campaign (its state is
-// suspect), reseeds the replication stream and retries after a bounded
-// backoff; maxRepAttempts consecutive panics return a *repPanic that
-// quarantines the candidate. The no-panic path performs exactly the
-// same RNG operations as an unisolated run, so common random numbers —
-// and every seeded golden — are untouched.
-func (e *Evaluator) runRepIsolated(w, i int, c Candidate, assignFn malware.Assignment, engs []*rotation.Engine) error {
-	for attempt := 1; ; attempt++ {
-		err, pan := e.runRep(w, i, c, assignFn, engs)
-		if pan == nil {
-			return err
-		}
-		// The campaign may hold arbitrarily corrupt state mid-panic; drop
-		// it so the retry (and the next candidate) rebuilds from scratch.
-		e.camps[w] = nil
-		if attempt >= maxRepAttempts {
-			// Emitted from the worker goroutine that tripped the quarantine
-			// — sinks are concurrency-safe by contract.
-			if e.sink != nil {
-				e.sink.Emit(telemetry.WorkerQuarantined{
-					Worker: w, Replication: i, Attempts: attempt, Cause: fmt.Sprint(pan),
-				})
-			}
-			return &repPanic{rep: i, cause: pan}
-		}
-		e.retries.Add(1)
-		time.Sleep(repRetryBackoff << (attempt - 1))
-	}
-}
-
-// runRep executes one replication, converting panics into the second
-// return value. The stream is reseeded here so retries replay the exact
-// same attack luck.
-func (e *Evaluator) runRep(w, i int, c Candidate, assignFn malware.Assignment, engs []*rotation.Engine) (err error, pan any) {
-	defer func() {
-		if r := recover(); r != nil {
-			pan = r
-		}
-	}()
-	r := e.rands[w]
-	r.Seed(e.seeds[i])
-	if e.repHook != nil {
-		e.repHook(c, i)
-	}
-	camp := e.camps[w]
-	if camp == nil {
-		camp, err = malware.NewCampaign(malware.Config{
-			Topo: e.p.Topo, Catalog: e.p.Catalog, Profile: e.p.Profile,
-			Rand: r, Assign: assignFn, FirewallVariant: e.p.FirewallVariant,
-		})
-		if err != nil {
-			return err, nil
-		}
-		e.camps[w] = camp
-	} else {
-		camp.Reset(assignFn, r)
-	}
-	if engs != nil {
-		camp.SetRotation(engs[w])
-	} else {
-		camp.SetRotation(nil)
-	}
-	if e.tracing {
-		if e.traceSampled[i] {
-			tr := e.tracers[w]
-			if tr == nil {
-				tr = trace.NewTracer(explainTraceLimit)
-				e.tracers[w] = tr
-			}
-			tr.Reset()
-			camp.SetTracer(tr)
-		} else {
-			camp.SetTracer(nil)
-		}
-	}
-	out, err := camp.Run(e.p.Horizon)
-	if err != nil {
-		return err, nil
-	}
-	if e.tracing && e.traceSampled[i] {
-		tr := e.tracers[w]
-		e.traceBuf[i] = trace.Trace{Rep: i, Dropped: tr.Dropped(), Records: tr.Snapshot()}
-	}
-	e.succBuf[i] = out.Success
-	e.detBuf[i] = out.Detected
-	if out.Detected {
-		e.ttsfBuf[i] = out.TTSF
-	} else {
-		e.ttsfBuf[i] = out.Horizon
-	}
-	e.ratioBuf[i] = indicators.RatioAt(out.Compromised, out.Horizon)
-	e.dwellBuf[i] = out.DwellTime()
-	e.dcntBuf[i] = out.Detections
-	e.fhBuf[i] = out.FootholdTime
-	e.rotBuf[i] = out.Rotations
-	e.reinfBuf[i] = out.Reinfections
-	e.rcostBuf[i] = out.RotationCost
-	return nil, nil
-}
-
-// explainTraceLimit caps one replication's captured records during an
-// explanation replay (overflow is reported, never silent — see
-// trace.Trace.Dropped).
-const explainTraceLimit = 8192
-
 // explain re-simulates one candidate with trace capture on the sampled
 // replications and aggregates the captures into an explanation report.
-// The replay reuses the evaluator's worker fan-out and CRN streams, so
-// it reproduces exactly the attack sequences the search scored — and
+// The replay reuses the evaluator's pool and CRN streams, so it
+// reproduces exactly the attack sequences the search scored — and
 // because capture consumes no RNG draw, running it perturbs nothing:
 // scores, goldens and the search trajectory are byte-identical with
-// explanations on or off.
+// explanations on or off. The sampled set is the one
+// malware.EvaluateTraced would pick for the same stream seeds.
 func (e *Evaluator) explain(label string, c Candidate, sample float64) (trace.Explanation, error) {
-	if e.traceSampled == nil {
-		e.traceSampled = make([]bool, e.p.Reps)
-		probe := rng.New(0)
-		for i, s := range e.seeds {
-			// The same decision malware.EvaluateTraced makes: hash the
-			// replication stream's non-advancing digest, so the sampled set
-			// is a pure function of the per-replication seed.
-			probe.Seed(s)
-			e.traceSampled[i] = trace.Sampled(probe.Digest(), sample)
-		}
-		e.tracers = make([]*trace.Tracer, e.nWorkers)
-		e.traceBuf = make([]trace.Trace, e.p.Reps)
-	}
-	clear(e.traceBuf)
-	e.tracing = true
+	e.pool.Capture(sample, 0, e.p.Reps)
 	_, err := e.simulate(c)
-	e.tracing = false
-	// Detach the tracers so any later untraced replication on these
-	// campaigns stays untraced.
-	for _, camp := range e.camps {
-		if camp != nil {
-			camp.SetTracer(nil)
-		}
-	}
+	traces := e.pool.Traces()
+	e.pool.Capture(0, 0, 0)
 	if err != nil {
 		return trace.Explanation{}, err
-	}
-	traces := make([]trace.Trace, 0, len(e.traceBuf))
-	for i := range e.traceBuf {
-		if e.traceSampled[i] {
-			traces = append(traces, e.traceBuf[i])
-		}
 	}
 	nodes := e.p.Topo.Nodes()
 	return trace.Explain(traces, trace.ExplainOpts{

@@ -35,6 +35,7 @@ import (
 	"slices"
 	"time"
 
+	"diversify/internal/des"
 	"diversify/internal/diversity"
 	"diversify/internal/evalstore"
 	"diversify/internal/exploits"
@@ -207,11 +208,14 @@ type Problem struct {
 	// feasibility, annealing proposals and genetic/NSGA-II repair; the
 	// base configuration must satisfy it.
 	MaxPerZone int
-	// Horizon is the campaign observation window in hours (default 720).
+	// Horizon is the campaign observation window in hours (0 → 720;
+	// negative, NaN or infinite is an error).
 	Horizon float64
-	// Reps is the Monte-Carlo replication count per candidate (default 50).
+	// Reps is the Monte-Carlo replication count per candidate (0 → 50;
+	// negative is an error).
 	Reps int
-	// Workers bounds evaluation parallelism (<= 0 → GOMAXPROCS).
+	// Workers bounds evaluation parallelism (0 → GOMAXPROCS; negative is
+	// an error).
 	Workers int
 	// Seed drives every random choice: evaluation streams, strategy
 	// moves, the random-fill comparison baseline.
@@ -219,7 +223,8 @@ type Problem struct {
 	// Iterations bounds the search: annealing proposals, genetic
 	// generations, greedy rounds (0 = strategy default).
 	Iterations int
-	// Population is the genetic population size (0 = default 16).
+	// Population is the genetic population size (0 = default 16;
+	// negative is an error).
 	Population int
 	// FirewallVariant optionally overrides every firewalled link.
 	FirewallVariant exploits.VariantID
@@ -243,13 +248,13 @@ func (p *Problem) normalize() {
 	if p.Objective == 0 {
 		p.Objective = MinimizeSuccess
 	}
-	if p.Horizon <= 0 {
+	if p.Horizon == 0 {
 		p.Horizon = 720
 	}
-	if p.Reps <= 0 {
+	if p.Reps == 0 {
 		p.Reps = 50
 	}
-	if p.Population <= 0 {
+	if p.Population == 0 {
 		p.Population = 16
 	}
 	if len(p.Axes) == 0 {
@@ -270,6 +275,12 @@ func (p *Problem) validate() error {
 	}
 	if p.Budget < 0 || math.IsNaN(p.Budget) {
 		return fmt.Errorf("%w: budget %v", ErrBadProblem, p.Budget)
+	}
+	if !(p.Horizon > 0) || math.IsInf(p.Horizon, 1) {
+		return fmt.Errorf("%w: horizon %v", ErrBadProblem, p.Horizon)
+	}
+	if p.Reps < 0 || p.Workers < 0 || p.Population < 0 {
+		return fmt.Errorf("%w: reps %d, workers %d, population %d must not be negative", ErrBadProblem, p.Reps, p.Workers, p.Population)
 	}
 	switch p.Objective {
 	case MinimizeSuccess, MinimizeRatio, MaximizeTTSF, MinimizeFoothold:
@@ -745,8 +756,7 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		}{{"baseline", p.baseCand()}, {"best", bestC}} {
 			ex, xerr := ev.explain(ec.label, ec.c, p.TraceSample)
 			if xerr != nil {
-				var rp *repPanic
-				if errors.As(xerr, &rp) {
+				if errors.Is(xerr, des.ErrPanic) {
 					continue
 				}
 				return nil, xerr
@@ -787,7 +797,7 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 	}
 	stats.StoreHits = ev.storeHits
 	stats.StorePuts = ev.storePuts
-	stats.Retries = int(ev.retries.Load())
+	stats.Retries = ev.retries
 	stats.Quarantined = ev.quarantined
 	stats.Elapsed = sinceWall(started)
 	res.Stats = stats

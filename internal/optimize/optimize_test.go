@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -217,6 +218,39 @@ func TestValidation(t *testing.T) {
 	p.Budget = 1
 	if _, err := Run(p, o); err == nil {
 		t.Fatal("want error when base assignment exceeds budget")
+	}
+}
+
+// normalize fills defaults only for zero values; validate rejects every
+// other out-of-range setting instead of letting it pass as a default (or
+// as NaN).
+func TestNormalizeRejectsInvalid(t *testing.T) {
+	for name, c := range map[string]struct {
+		mutate func(*Problem)
+		ok     bool
+	}{
+		"zero defaults":       {func(p *Problem) { p.Reps, p.Horizon, p.Workers, p.Population = 0, 0, 0, 0 }, true},
+		"negative reps":       {func(p *Problem) { p.Reps = -3 }, false},
+		"negative workers":    {func(p *Problem) { p.Workers = -2 }, false},
+		"negative population": {func(p *Problem) { p.Population = -1 }, false},
+		"negative horizon":    {func(p *Problem) { p.Horizon = -1 }, false},
+		"NaN horizon":         {func(p *Problem) { p.Horizon = math.NaN() }, false},
+		"+Inf horizon":        {func(p *Problem) { p.Horizon = math.Inf(1) }, false},
+		"-Inf horizon":        {func(p *Problem) { p.Horizon = math.Inf(-1) }, false},
+	} {
+		p := testProblem(1)
+		c.mutate(&p)
+		p.normalize()
+		err := p.validate()
+		if c.ok != (err == nil) {
+			t.Errorf("%s: validate = %v, want ok=%v", name, err, c.ok)
+		}
+		if err != nil && !errors.Is(err, ErrBadProblem) {
+			t.Errorf("%s: err %v is not ErrBadProblem", name, err)
+		}
+		if c.ok && (p.Reps != 50 || p.Horizon != 720 || p.Population != 16) {
+			t.Errorf("%s: zero fields not defaulted: reps %d horizon %v population %d", name, p.Reps, p.Horizon, p.Population)
+		}
 	}
 }
 

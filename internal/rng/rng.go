@@ -96,18 +96,15 @@ func (r *Rand) Digest() uint64 {
 
 // Split derives a statistically independent child generator. The parent
 // advances by exactly two draws, so splitting is itself deterministic.
-func (r *Rand) Split() *Rand {
-	child := &Rand{}
+func (r *Rand) Split() *Rand { return New(r.SplitSeed()) }
+
+// SplitSeed draws the seed of the child stream Split would return:
+// New(r.SplitSeed()) is r.Split(), advancing the parent the same two
+// draws. Fan-outs that reseed one generator per worker keep the seed
+// instead of a whole generator per replication.
+func (r *Rand) SplitSeed() uint64 {
 	seed := r.Uint64()
-	mix := r.Uint64()
-	sm := seed ^ rotl(mix, 17)
-	for i := range child.s {
-		sm, child.s[i] = splitmix64(sm)
-	}
-	if child.s[0]|child.s[1]|child.s[2]|child.s[3] == 0 {
-		child.s[0] = 1
-	}
-	return child
+	return seed ^ rotl(r.Uint64(), 17)
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.

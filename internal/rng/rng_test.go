@@ -135,6 +135,40 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
+// splitReference is the original Split, which filled the child state
+// from the mixed seed in place (with its own all-zero fallback): the
+// streams every seeded result was recorded under.
+func splitReference(r *Rand) *Rand {
+	child := &Rand{}
+	seed := r.Uint64()
+	mix := r.Uint64()
+	sm := seed ^ rotl(mix, 17)
+	for i := range child.s {
+		sm, child.s[i] = splitmix64(sm)
+	}
+	if child.s[0]|child.s[1]|child.s[2]|child.s[3] == 0 {
+		child.s[0] = 1
+	}
+	return child
+}
+
+// New(r.SplitSeed()) must be the stream the original Split derived, and
+// leave the parent where it left it.
+func TestSplitSeedReproducesSplit(t *testing.T) {
+	a, b := New(2024), New(2024)
+	for i := 0; i < 10000; i++ {
+		got, want := New(a.SplitSeed()), splitReference(b)
+		for j := 0; j < 64; j++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("split %d draw %d: %x, want %x", i, j, g, w)
+			}
+		}
+	}
+	if a.State() != b.State() {
+		t.Fatal("SplitSeed advanced the parent differently from Split")
+	}
+}
+
 func TestExpMeanAndPositivity(t *testing.T) {
 	r := New(13)
 	const rate, n = 2.5, 200000

@@ -526,13 +526,12 @@ func (cs *CaseStudy) OptimizePlacement(budget, nodeCost, plcCost float64,
 		}
 	}
 	metric := func(a *diversity.Assignment) (float64, error) {
-		outs := des.Replicate(reps, 0, seed, func(rep int, r *rng.Rand) indicators.Outcome {
-			out, err := cs.EvaluateSAN(a, r, horizon)
-			if err != nil {
-				return indicators.Outcome{}
-			}
-			return out
+		outs, err := des.Replicate(reps, 0, seed, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+			return cs.EvaluateSAN(a, r, horizon)
 		})
+		if err != nil {
+			return 0, err
+		}
 		succ := 0
 		for _, o := range outs {
 			if o.Success {
@@ -555,17 +554,16 @@ func (cs *CaseStudy) PlacementExperiment(resilientCounts []int, strategies []Str
 	var cells []PlacementCell
 	for _, k := range resilientCounts {
 		for _, strat := range strategies {
-			outs := des.Replicate(reps, 0, seed^uint64(k*31+int(strat)), func(rep int, r *rng.Rand) indicators.Outcome {
+			outs, err := des.Replicate(reps, 0, seed^uint64(k*31+int(strat)), func(rep int, r *rng.Rand) (indicators.Outcome, error) {
 				assign, err := cs.PlacementAssignment(k, strat, r)
 				if err != nil {
-					return indicators.Outcome{}
+					return indicators.Outcome{}, err
 				}
-				out, err := cs.EvaluateSAN(assign, r, horizon)
-				if err != nil {
-					return indicators.Outcome{}
-				}
-				return out
+				return cs.EvaluateSAN(assign, r, horizon)
 			})
+			if err != nil {
+				return nil, err
+			}
 			succ := 0
 			ttaSum := 0.0
 			for _, o := range outs {

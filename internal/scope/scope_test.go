@@ -1,6 +1,7 @@
 package scope
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -34,13 +35,12 @@ func TestCoolingTopologyShape(t *testing.T) {
 
 func TestEvaluateSANBaseline(t *testing.T) {
 	cs := NewCaseStudy()
-	outs := des.Replicate(80, 0, 1, func(rep int, r *rng.Rand) indicators.Outcome {
-		out, err := cs.EvaluateSAN(nil, r, 720)
-		if err != nil {
-			t.Error(err)
-		}
-		return out
+	outs, err := des.Replicate(80, 0, 1, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+		return cs.EvaluateSAN(nil, r, 720)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	iv, err := indicators.SuccessProbability(outs, 0.95)
 	if err != nil {
 		t.Fatal(err)
@@ -67,13 +67,12 @@ func TestEvaluateSANHorizonValidation(t *testing.T) {
 func TestHardeningLowersPSA(t *testing.T) {
 	cs := NewCaseStudy()
 	run := func(assign *diversity.Assignment) float64 {
-		outs := des.Replicate(80, 0, 7, func(rep int, r *rng.Rand) indicators.Outcome {
-			out, err := cs.EvaluateSAN(assign, r, 720)
-			if err != nil {
-				t.Error(err)
-			}
-			return out
+		outs, err := des.Replicate(80, 0, 7, func(rep int, r *rng.Rand) (indicators.Outcome, error) {
+			return cs.EvaluateSAN(assign, r, 720)
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		iv, err := indicators.SuccessProbability(outs, 0.95)
 		if err != nil {
 			t.Fatal(err)
@@ -287,5 +286,19 @@ func TestOptimizePlacementZeroBudget(t *testing.T) {
 	}
 	if psa < 0.5 {
 		t.Fatalf("baseline PSA = %v, suspiciously low", psa)
+	}
+}
+
+// A replication error must reach the caller, not count as a failed
+// attack: at horizon 0 every EvaluateSAN call fails, which used to
+// report PSA 0 — a "perfect" placement — with no error.
+func TestHorizonZeroFailsPlacement(t *testing.T) {
+	cs := NewCaseStudy()
+	if _, _, err := cs.OptimizePlacement(10, 1, 1, 4, 1, 0); !errors.Is(err, ErrBadCaseStudy) {
+		t.Fatalf("OptimizePlacement at horizon 0: err = %v, want ErrBadCaseStudy", err)
+	}
+	cells, err := cs.PlacementExperiment([]int{1}, []Strategy{StrategyRandom}, 4, 1, 0)
+	if !errors.Is(err, ErrBadCaseStudy) {
+		t.Fatalf("PlacementExperiment at horizon 0: cells %+v, err = %v, want ErrBadCaseStudy", cells, err)
 	}
 }
