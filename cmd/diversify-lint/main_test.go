@@ -20,7 +20,7 @@ func TestListCatalog(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errOut.String())
 	}
-	for _, name := range []string{"detsource", "ctxpropagate", "rnggate", "durableerr", "telemetryguard", "guardedby", "detreach", "hotalloc"} {
+	for _, name := range []string{"detsource", "ctxpropagate", "rnggate", "durableerr", "nilguard", "guardedby", "detreach", "hotalloc"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("catalog missing analyzer %q:\n%s", name, out.String())
 		}

@@ -17,33 +17,6 @@ func almost(t *testing.T, name string, got, want, tol float64) {
 	}
 }
 
-func TestOneWayHandComputed(t *testing.T) {
-	// Groups A={1,2,3}, B={2,3,4}: SS_between = 1.5, SS_within = 4,
-	// F = 1.5 / (4/4) = 1.5.
-	tbl, err := OneWay([][]float64{{1, 2, 3}, {2, 3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, "SS_between", tbl.Effects[0].SS, 1.5, 1e-12)
-	almost(t, "SS_within", tbl.Error.SS, 4, 1e-12)
-	almost(t, "F", tbl.Effects[0].F, 1.5, 1e-12)
-	if tbl.Effects[0].DF != 1 || tbl.Error.DF != 4 || tbl.Total.DF != 5 {
-		t.Fatalf("df = %d/%d/%d", tbl.Effects[0].DF, tbl.Error.DF, tbl.Total.DF)
-	}
-	if tbl.Effects[0].P < 0.25 || tbl.Effects[0].P > 0.3 {
-		t.Fatalf("p = %v, want ~0.288", tbl.Effects[0].P)
-	}
-}
-
-func TestOneWayErrors(t *testing.T) {
-	if _, err := OneWay([][]float64{{1, 2}}); !errors.Is(err, ErrBadInput) {
-		t.Fatal("single group accepted")
-	}
-	if _, err := OneWay([][]float64{{1}, {}}); !errors.Is(err, ErrBadInput) {
-		t.Fatal("empty group accepted")
-	}
-}
-
 // twoByTwo builds the hand-computed 2×2 dataset with effects A=2, B=3,
 // AB=1 around mean 10 and ±0.5 replicate noise:
 // cells (A,B): (lo,lo)=6, (hi,lo)=8, (lo,hi)=10, (hi,hi)=16.

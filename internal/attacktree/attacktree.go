@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"diversify/internal/rng"
 )
@@ -103,7 +102,7 @@ func New(root *Node) *Tree { return &Tree{Root: root} }
 
 // Validate checks structure: leaves have probabilities in [0,1] and no
 // children; gates have children; KofN thresholds are meaningful; names are
-// unique (cut sets and rebinding rely on names).
+// unique (rebinding relies on names).
 func (t *Tree) Validate() error {
 	if t.Root == nil {
 		return fmt.Errorf("%w: nil root", ErrInvalidTree)
@@ -146,25 +145,6 @@ func (t *Tree) Validate() error {
 		return nil
 	}
 	return walk(t.Root)
-}
-
-// Leaves returns the tree's leaves in depth-first order.
-func (t *Tree) Leaves() []*Node {
-	var out []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Kind == Leaf {
-			out = append(out, n)
-			return
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	if t.Root != nil {
-		walk(t.Root)
-	}
-	return out
 }
 
 // WithLeafProbs returns a deep copy of the tree with leaf probabilities
@@ -313,201 +293,6 @@ func (t *Tree) Sample(r *rng.Rand) Outcome {
 		}
 	}
 	return eval(t.Root)
-}
-
-// CutSet is a set of leaf names whose joint success makes the attack
-// succeed.
-type CutSet []string
-
-func (cs CutSet) String() string { return "{" + strings.Join(cs, ",") + "}" }
-
-// MinimalCutSets enumerates the minimal cut sets of the tree. SAND gates
-// are treated as AND for cut-set purposes; KofN expands to all k-subsets.
-// The result is sorted lexicographically for determinism.
-func (t *Tree) MinimalCutSets() []CutSet {
-	type setT map[string]bool
-	cross := func(a, b []setT) []setT {
-		out := make([]setT, 0, len(a)*len(b))
-		for _, x := range a {
-			for _, y := range b {
-				m := setT{}
-				for k := range x {
-					m[k] = true
-				}
-				for k := range y {
-					m[k] = true
-				}
-				out = append(out, m)
-			}
-		}
-		return out
-	}
-	var eval func(n *Node) []setT
-	eval = func(n *Node) []setT {
-		switch n.Kind {
-		case Leaf:
-			return []setT{{n.Name: true}}
-		case And, SeqAnd:
-			acc := []setT{{}}
-			for _, c := range n.Children {
-				acc = cross(acc, eval(c))
-			}
-			return acc
-		case Or:
-			var acc []setT
-			for _, c := range n.Children {
-				acc = append(acc, eval(c)...)
-			}
-			return acc
-		case KofN:
-			// Union over all k-subsets of AND-combined children.
-			idx := make([]int, n.K)
-			for i := range idx {
-				idx[i] = i
-			}
-			var acc []setT
-			for {
-				comb := []setT{{}}
-				for _, i := range idx {
-					comb = cross(comb, eval(n.Children[i]))
-				}
-				acc = append(acc, comb...)
-				// next combination
-				i := n.K - 1
-				for i >= 0 && idx[i] == len(n.Children)-n.K+i {
-					i--
-				}
-				if i < 0 {
-					break
-				}
-				idx[i]++
-				for j := i + 1; j < n.K; j++ {
-					idx[j] = idx[j-1] + 1
-				}
-			}
-			return acc
-		default:
-			return nil
-		}
-	}
-	raw := eval(t.Root)
-	// Minimize: drop supersets of other sets.
-	sets := make([]CutSet, 0, len(raw))
-	for _, m := range raw {
-		cs := make(CutSet, 0, len(m))
-		for k := range m {
-			cs = append(cs, k)
-		}
-		sort.Strings(cs)
-		sets = append(sets, cs)
-	}
-	isSubset := func(a, b CutSet) bool { // a ⊆ b
-		if len(a) > len(b) {
-			return false
-		}
-		bm := map[string]bool{}
-		for _, x := range b {
-			bm[x] = true
-		}
-		for _, x := range a {
-			if !bm[x] {
-				return false
-			}
-		}
-		return true
-	}
-	var minimal []CutSet
-	for i, cs := range sets {
-		dominated := false
-		for j, other := range sets {
-			if i == j {
-				continue
-			}
-			if isSubset(other, cs) && (len(other) < len(cs) || j < i) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			minimal = append(minimal, cs)
-		}
-	}
-	sort.Slice(minimal, func(i, j int) bool {
-		a, b := minimal[i], minimal[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	// Deduplicate identical sets (KofN expansion can repeat).
-	out := minimal[:0]
-	for i, cs := range minimal {
-		if i > 0 && equalCutSets(minimal[i-1], cs) {
-			continue
-		}
-		out = append(out, cs)
-	}
-	return out
-}
-
-func equalCutSets(a, b CutSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// CostedAttack is a minimal cut set annotated with the attacker resources
-// it requires.
-type CostedAttack struct {
-	Set  CutSet
-	Cost float64
-}
-
-// CheapestAttacks ranks the minimal cut sets by total attacker cost,
-// cheapest first. Leaf costs come from the costs map (leaves absent from
-// the map cost defaultCost). This is the classic attack-tree economics
-// view the paper's rationale appeals to: diversity wins when the cheapest
-// remaining attack costs more than the target is worth.
-func (t *Tree) CheapestAttacks(costs map[string]float64, defaultCost float64) []CostedAttack {
-	sets := t.MinimalCutSets()
-	out := make([]CostedAttack, 0, len(sets))
-	for _, cs := range sets {
-		total := 0.0
-		for _, leaf := range cs {
-			if c, ok := costs[leaf]; ok {
-				total += c
-			} else {
-				total += defaultCost
-			}
-		}
-		out = append(out, CostedAttack{Set: cs, Cost: total})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cost != out[j].Cost {
-			return out[i].Cost < out[j].Cost
-		}
-		return out[i].Set.String() < out[j].Set.String()
-	})
-	return out
-}
-
-// MinAttackCost returns the cost of the cheapest attack (the minimum over
-// minimal cut sets of the summed leaf costs), or +Inf for a tree with no
-// cut sets.
-func (t *Tree) MinAttackCost(costs map[string]float64, defaultCost float64) float64 {
-	ranked := t.CheapestAttacks(costs, defaultCost)
-	if len(ranked) == 0 {
-		return math.Inf(1)
-	}
-	return ranked[0].Cost
 }
 
 // EstimateSuccess runs n Monte-Carlo samples and returns the observed

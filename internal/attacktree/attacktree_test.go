@@ -168,74 +168,6 @@ func TestWithLeafProbs(t *testing.T) {
 	}
 }
 
-func TestLeaves(t *testing.T) {
-	tree := New(NewOr("root",
-		NewAnd("a", NewLeaf("l1", 0.5, nil), NewLeaf("l2", 0.5, nil)),
-		NewLeaf("l3", 0.5, nil),
-	))
-	names := []string{}
-	for _, l := range tree.Leaves() {
-		names = append(names, l.Name)
-	}
-	want := []string{"l1", "l2", "l3"}
-	if len(names) != len(want) {
-		t.Fatalf("leaves = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("leaves = %v, want %v", names, want)
-		}
-	}
-}
-
-func TestMinimalCutSets(t *testing.T) {
-	// root = OR(AND(a,b), c) → cut sets {a,b}, {c}.
-	tree := New(NewOr("root",
-		NewAnd("g1", NewLeaf("a", 0.5, nil), NewLeaf("b", 0.5, nil)),
-		NewLeaf("c", 0.5, nil),
-	))
-	sets := tree.MinimalCutSets()
-	if len(sets) != 2 {
-		t.Fatalf("cut sets = %v", sets)
-	}
-	if sets[0].String() != "{a,b}" || sets[1].String() != "{c}" {
-		t.Fatalf("cut sets = %v", sets)
-	}
-}
-
-func TestCutSetsAbsorbSupersets(t *testing.T) {
-	// OR(a, AND(a,b)) → {a} absorbs {a,b}.
-	tree := New(NewOr("root",
-		NewLeaf("a", 0.5, nil),
-		NewAnd("g", NewLeaf("a2", 0.5, nil), NewLeaf("b", 0.5, nil)),
-	))
-	// Rename to force the superset relation with distinct node names:
-	// use OR(x, AND(x…)) is impossible with unique names, so test the
-	// absorption path with KofN instead.
-	sets := tree.MinimalCutSets()
-	if len(sets) != 2 {
-		t.Fatalf("cut sets = %v", sets)
-	}
-	// 1-of-2 over (a, AND(a... b)) style absorption via KofN:
-	k := New(NewKofN("root", 1,
-		NewLeaf("p", 0.5, nil),
-		NewLeaf("q", 0.5, nil),
-	))
-	sets = k.MinimalCutSets()
-	if len(sets) != 2 || sets[0].String() != "{p}" || sets[1].String() != "{q}" {
-		t.Fatalf("KofN(1) cut sets = %v", sets)
-	}
-	k2 := New(NewKofN("root", 2,
-		NewLeaf("p", 0.5, nil),
-		NewLeaf("q", 0.5, nil),
-		NewLeaf("s", 0.5, nil),
-	))
-	sets = k2.MinimalCutSets()
-	if len(sets) != 3 {
-		t.Fatalf("KofN(2,3) cut sets = %v", sets)
-	}
-}
-
 // Property: success probability is within [0,1], and hardening any leaf
 // (lowering its probability) never increases the tree's probability.
 func TestQuickMonotoneHardening(t *testing.T) {
@@ -315,50 +247,5 @@ func BenchmarkSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree.Sample(r)
-	}
-}
-
-func TestCheapestAttacks(t *testing.T) {
-	// root = OR(AND(a,b), c): cut sets {a,b} and {c}.
-	tree := New(NewOr("root",
-		NewAnd("g1", NewLeaf("a", 0.5, nil), NewLeaf("b", 0.5, nil)),
-		NewLeaf("c", 0.5, nil),
-	))
-	costs := map[string]float64{"a": 10, "b": 5, "c": 40}
-	ranked := tree.CheapestAttacks(costs, 1)
-	if len(ranked) != 2 {
-		t.Fatalf("ranked = %+v", ranked)
-	}
-	if ranked[0].Cost != 15 || ranked[0].Set.String() != "{a,b}" {
-		t.Fatalf("cheapest = %+v, want {a,b} at 15", ranked[0])
-	}
-	if ranked[1].Cost != 40 {
-		t.Fatalf("second = %+v", ranked[1])
-	}
-	if got := tree.MinAttackCost(costs, 1); got != 15 {
-		t.Fatalf("MinAttackCost = %v", got)
-	}
-	// Default cost applies to unpriced leaves.
-	if got := tree.MinAttackCost(nil, 7); got != 7 { // {c} alone costs 7
-		t.Fatalf("default-cost MinAttackCost = %v", got)
-	}
-}
-
-func TestDiversityRaisesAttackCost(t *testing.T) {
-	// The paper's economics: identical machines share one exploit cost;
-	// diverse machines each need their own exploit developed.
-	costPerExploit := 100.0
-	identical := New(NewAnd("attack",
-		NewLeaf("m1", 0.5, nil),
-		NewLeaf("m2-reuse", 1, nil), // exploit reuse: free
-	))
-	diverse := New(NewAnd("attack",
-		NewLeaf("m1", 0.5, nil),
-		NewLeaf("m2", 0.5, nil),
-	))
-	costIdent := identical.MinAttackCost(map[string]float64{"m1": costPerExploit, "m2-reuse": 0}, 0)
-	costDivers := diverse.MinAttackCost(nil, costPerExploit)
-	if costIdent != costPerExploit || costDivers != 2*costPerExploit {
-		t.Fatalf("costs: identical=%v diverse=%v", costIdent, costDivers)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"diversify/internal/exploits"
@@ -121,22 +120,6 @@ func ProfileOf(t *topology.Topology, a *Assignment, c exploits.Class) Profile {
 
 // Distinct returns the number of distinct variants in use.
 func (p Profile) Distinct() int { return len(p.Counts) }
-
-// ShannonIndex returns the Shannon diversity H = −Σ pᵢ ln pᵢ (0 for a
-// monoculture).
-func (p Profile) ShannonIndex() float64 {
-	if p.Total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range p.Counts {
-		q := float64(c) / float64(p.Total)
-		if q > 0 {
-			h -= q * math.Log(q)
-		}
-	}
-	return h
-}
 
 // SimpsonIndex returns 1 − Σ pᵢ² (probability two random nodes differ).
 func (p Profile) SimpsonIndex() float64 {

@@ -75,11 +75,11 @@ func TestProfileIndices(t *testing.T) {
 	topo := testTopo()
 	// Monoculture: zero diversity.
 	mono := ProfileOf(topo, nil, exploits.ClassOS)
-	if mono.Distinct() != 1 || mono.ShannonIndex() != 0 || mono.SimpsonIndex() != 0 {
-		t.Fatalf("monoculture profile: distinct=%d H=%v S=%v",
-			mono.Distinct(), mono.ShannonIndex(), mono.SimpsonIndex())
+	if mono.Distinct() != 1 || mono.SimpsonIndex() != 0 {
+		t.Fatalf("monoculture profile: distinct=%d S=%v",
+			mono.Distinct(), mono.SimpsonIndex())
 	}
-	// Two equal halves: H = ln 2, Simpson = 0.5.
+	// Two equal halves: Simpson = 0.5.
 	a := NewAssignment()
 	count := 0
 	for _, n := range topo.Nodes() {
@@ -100,9 +100,6 @@ func TestProfileIndices(t *testing.T) {
 	p := ProfileOf(topo, a, exploits.ClassOS)
 	if p.Distinct() != 2 {
 		t.Fatalf("distinct = %d", p.Distinct())
-	}
-	if math.Abs(p.ShannonIndex()-math.Log(2)) > 1e-9 {
-		t.Fatalf("Shannon = %v, want ln2", p.ShannonIndex())
 	}
 	if math.Abs(p.SimpsonIndex()-0.5) > 1e-9 {
 		t.Fatalf("Simpson = %v, want 0.5", p.SimpsonIndex())
@@ -260,7 +257,7 @@ func TestSpreadVariants(t *testing.T) {
 	}
 }
 
-// Property: Shannon and Simpson indices never decrease when going from a
+// Property: the Simpson index never decreases when going from a
 // monoculture (k=1) to k>1 spread variants.
 func TestQuickSpreadIncreasesDiversity(t *testing.T) {
 	topo := testTopo()
@@ -277,9 +274,8 @@ func TestQuickSpreadIncreasesDiversity(t *testing.T) {
 		}
 		pm := ProfileOf(topo, mono, exploits.ClassOS)
 		pk := ProfileOf(topo, multi, exploits.ClassOS)
-		return pk.ShannonIndex() >= pm.ShannonIndex()-1e-12 &&
-			pk.SimpsonIndex() >= pm.SimpsonIndex()-1e-12 &&
-			pk.SimpsonIndex() <= 1 && pk.ShannonIndex() >= 0
+		return pk.SimpsonIndex() >= pm.SimpsonIndex()-1e-12 &&
+			pk.SimpsonIndex() <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -62,9 +62,7 @@ const payloadSize = 3*8 + NumMeasurements*8
 
 // Store is an open durable evaluation store. Safe for concurrent use.
 type Store struct {
-	mu sync.Mutex
-	// path is set once in Open and immutable after, so it needs no lock.
-	path      string
+	mu        sync.Mutex
 	f         *os.File             //diversify:guardedby mu
 	mem       map[Key]Measurements //diversify:guardedby mu
 	recovered int                  //diversify:guardedby mu
@@ -80,7 +78,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{f: f, path: path, mem: map[Key]Measurements{}}
+	st := &Store{f: f, mem: map[Key]Measurements{}}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -203,9 +201,6 @@ func (s *Store) Len() int {
 	defer s.mu.Unlock()
 	return len(s.mem)
 }
-
-// Path reports the file path the store was opened at.
-func (s *Store) Path() string { return s.path }
 
 // Recovered reports how many trailing bytes Open truncated away as a
 // torn or corrupt tail (0 for a clean file).

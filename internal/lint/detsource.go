@@ -213,8 +213,9 @@ func checkMapRangeReturn(info *types.Info, rng *ast.RangeStmt, ret *ast.ReturnSt
 }
 
 // sortedAfter reports whether any call after the range statement in the
-// enclosing function body is a sort/slices ordering call mentioning the
-// (root, path) slice.
+// enclosing function body is a sort/slices ordering call (slices.Sort*,
+// sort.Sort*, sort.Slice, sort.SliceStable) mentioning the (root, path)
+// slice.
 func sortedAfter(info *types.Info, body *ast.BlockStmt, rng *ast.RangeStmt, root types.Object, path string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -229,8 +230,10 @@ func sortedAfter(info *types.Info, body *ast.BlockStmt, rng *ast.RangeStmt, root
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
-		pkg := fn.Pkg().Path()
-		if (pkg != "sort" && pkg != "slices") || !strings.HasPrefix(fn.Name(), "Sort") {
+		pkg, name := fn.Pkg().Path(), fn.Name()
+		sorts := (pkg == "sort" || pkg == "slices") && strings.HasPrefix(name, "Sort") ||
+			pkg == "sort" && (name == "Slice" || name == "SliceStable")
+		if !sorts {
 			return true
 		}
 		for _, arg := range call.Args {

@@ -2,12 +2,13 @@
 // analyzers that machine-check the load-bearing guarantees every PR so
 // far has only enforced dynamically — common-random-number determinism,
 // context propagation, the CRN seeding gate, durable-write error
-// handling, the zero-cost-when-disabled telemetry contract, and (since
-// step 9) the interprocedural versions: transitive determinism
-// reachability, declared lock discipline and static hot-path
-// allocation gating.
+// handling, the zero-cost-when-disabled telemetry and tracing contract,
+// and (since step 9) the interprocedural versions: transitive
+// determinism reachability, declared lock discipline and static
+// hot-path allocation gating.
 //
-// The driver is stdlib-only (go/parser + go/types over `go list -export`
+// The driver is stdlib-only (go/parser + go/types: module packages are
+// checked from source, the standard library from `go list -export`
 // compiled export data — no module dependencies, consistent with the
 // repo's zero-dep posture). Analyzers are structured as self-contained
 // (Name, Doc, Applies, Run) values over a Pass, so they could later be
@@ -140,7 +141,7 @@ func (p *ProgramPass) ReportPosf(pos token.Position, format string, args ...any)
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetSource, CtxPropagate, RNGGate, DurableErr, TelemetryGuard, TraceGuard, GuardedBy, DetReach, HotAlloc}
+	return []*Analyzer{DetSource, CtxPropagate, RNGGate, DurableErr, NilGuard, GuardedBy, DetReach, HotAlloc}
 }
 
 // Check runs the analyzers over the loaded packages and returns every

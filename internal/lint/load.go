@@ -69,38 +69,52 @@ func goList(dir string, patterns []string) ([]listPkg, error) {
 	return pkgs, nil
 }
 
-// exportImporter resolves imports from compiler export data files.
-type exportImporter struct {
-	imp     types.Importer
-	exports map[string]string
-}
-
-func (e *exportImporter) Import(path string) (*types.Package, error) { return e.imp.Import(path) }
-
-// NewImporter builds a types.Importer backed by `go list -export`
-// compiled export data for the dependency closure of patterns, rooted
-// at module directory dir. The fixture tests use it directly to
-// type-check testdata packages against the real module's dependencies;
-// Load uses it for every target package.
-func NewImporter(fset *token.FileSet, dir string, patterns ...string) (types.Importer, error) {
-	pkgs, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
+// exportLookup opens compiler export data for the packages in a
+// `go list -export` listing.
+func exportLookup(pkgs []listPkg) func(string) (io.ReadCloser, error) {
 	exports := make(map[string]string, len(pkgs))
 	for _, p := range pkgs {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
 	}
-	lookup := func(path string) (io.ReadCloser, error) {
+	return func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("lint: no export data for %q (is it in the loaded pattern closure?)", path)
 		}
 		return os.Open(f)
 	}
-	return &exportImporter{imp: importer.ForCompiler(fset, "gc", lookup), exports: exports}, nil
+}
+
+// NewImporter builds a types.Importer backed by `go list -export`
+// compiled export data for the dependency closure of patterns, rooted
+// at module directory dir. The single-package fixture tests use it to
+// type-check testdata packages against the real module's dependencies.
+func NewImporter(fset *token.FileSet, dir string, patterns ...string) (types.Importer, error) {
+	pkgs, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	return importer.ForCompiler(fset, "gc", exportLookup(pkgs)), nil
+}
+
+// sourceImporter resolves module packages to the *types.Package Load
+// already type-checked from source, and everything else (the standard
+// library) from export data. Sharing one *types.Package per module
+// package is what lets the call graph match a callee in another package
+// to its declaration's node, and lets CHA see cross-package
+// implementations.
+type sourceImporter struct {
+	checked map[string]*types.Package
+	std     types.Importer
+}
+
+func (s *sourceImporter) Import(path string) (*types.Package, error) {
+	if p, ok := s.checked[path]; ok {
+		return p, nil
+	}
+	return s.std.Import(path)
 }
 
 // ParsePackage parses the named files and type-checks them as a package
@@ -130,6 +144,9 @@ func ParsePackage(fset *token.FileSet, imp types.Importer, path string, filename
 
 // Load loads, parses and type-checks the non-test compilation of every
 // module package matching patterns (relative to module directory dir).
+// Every non-standard package in the dependency closure is checked from
+// source, so a function has one *types.Func across the whole program;
+// only the packages the patterns match are returned for analysis.
 // Test files are deliberately excluded: every analyzer rule exempts
 // tests, and excluding them at load time enforces that uniformly.
 func Load(dir string, patterns ...string) ([]*Package, error) {
@@ -141,26 +158,16 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: resolving module dir: %v", err)
 	}
-	exports := make(map[string]string, len(listing))
-	for _, p := range listing {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
 	fset := token.NewFileSet()
-	imp := &exportImporter{
-		imp: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			f, ok := exports[path]
-			if !ok {
-				return nil, fmt.Errorf("lint: no export data for %q", path)
-			}
-			return os.Open(f)
-		}),
-		exports: exports,
+	imp := &sourceImporter{
+		checked: map[string]*types.Package{},
+		std:     importer.ForCompiler(fset, "gc", exportLookup(listing)),
 	}
 	var out []*Package
+	// go list -deps prints dependencies before their importers, so every
+	// module import is checked before the package that needs it.
 	for _, p := range listing {
-		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
+		if p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
 		names := make([]string, len(p.GoFiles))
@@ -170,6 +177,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkg, err := ParsePackage(fset, imp, p.ImportPath, names...)
 		if err != nil {
 			return nil, err
+		}
+		imp.checked[p.ImportPath] = pkg.Pkg
+		if p.DepOnly {
+			continue
 		}
 		pkg.Dir = absDir
 		out = append(out, pkg)

@@ -1,5 +1,5 @@
-// Fixture for the telemetryguard analyzer, type-checked under the
-// virtual path diversify/internal/scada (guard-scoped).
+// Fixture for the nilguard analyzer's telemetry.Sink row, type-checked
+// under the virtual path diversify/internal/scada (guard-scoped).
 package scada
 
 import "diversify/internal/telemetry"

@@ -1,4 +1,4 @@
-// Fixture proving telemetryguard scoping: cmd/ packages are exempt —
+// Fixture proving nilguard scoping: cmd/ packages are exempt —
 // the CLI always wires a concrete sink, so unguarded emissions there
 // are fine.
 package main

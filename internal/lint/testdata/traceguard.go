@@ -1,5 +1,5 @@
-// Fixture for the traceguard analyzer, type-checked under the virtual
-// path diversify/internal/scada (guard-scoped).
+// Fixture for the nilguard analyzer's *trace.Tracer row, type-checked
+// under the virtual path diversify/internal/scada (guard-scoped).
 package scada
 
 import "diversify/internal/trace"

@@ -1,6 +1,6 @@
 // Package markov implements continuous-time Markov chains (CTMCs) with
-// transient analysis by uniformization and absorbing-state analysis by
-// direct linear solve.
+// absorbing-state analysis (mean time to absorption) by direct linear
+// solve.
 //
 // The framework uses it for the Madan et al. security quantification model
 // (the paper's reference [5]): a state machine Good → Vulnerable →
@@ -39,12 +39,6 @@ func (c *Chain) State(name string) StateID {
 	return StateID(len(c.names) - 1)
 }
 
-// Name returns the state's declared name.
-func (c *Chain) Name(s StateID) string { return c.names[s] }
-
-// Len returns the number of states.
-func (c *Chain) Len() int { return len(c.names) }
-
 // Transition adds (or overwrites) a transition from→to with the given
 // rate. It panics on self-loops, unknown states or non-positive rates —
 // construction errors, not runtime conditions.
@@ -73,92 +67,6 @@ func (c *Chain) ExitRate(s StateID) float64 {
 
 // Absorbing reports whether s has no outgoing transitions.
 func (c *Chain) Absorbing(s StateID) bool { return len(c.rates[s]) == 0 }
-
-// Transient returns the state distribution at time t, starting from the
-// given initial distribution, computed by uniformization with error bound
-// eps (default 1e-10 when eps <= 0).
-func (c *Chain) Transient(initial []float64, t float64, eps float64) ([]float64, error) {
-	n := len(c.names)
-	if len(initial) != n {
-		return nil, fmt.Errorf("%w: initial distribution has %d entries, want %d", ErrBadChain, len(initial), n)
-	}
-	if t < 0 || math.IsNaN(t) {
-		return nil, fmt.Errorf("%w: negative time %v", ErrBadChain, t)
-	}
-	if eps <= 0 {
-		eps = 1e-10
-	}
-	sum := 0.0
-	for _, p := range initial {
-		if p < 0 {
-			return nil, fmt.Errorf("%w: negative initial probability", ErrBadChain)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("%w: initial distribution sums to %v", ErrBadChain, sum)
-	}
-	if t == 0 {
-		return append([]float64(nil), initial...), nil
-	}
-	// Uniformization rate: strictly above the max exit rate.
-	lambda := 0.0
-	for s := 0; s < n; s++ {
-		if r := c.ExitRate(StateID(s)); r > lambda {
-			lambda = r
-		}
-	}
-	if lambda == 0 { // no transitions anywhere
-		return append([]float64(nil), initial...), nil
-	}
-	lambda *= 1.02
-	// DTMC kernel P = I + Q/lambda (row-stochastic).
-	// π(t) = Σ_k Poisson(λt, k) · initial·P^k, truncated when the Poisson
-	// tail mass falls below eps.
-	lt := lambda * t
-	// Left-multiply iteratively: v_{k+1} = v_k P.
-	v := append([]float64(nil), initial...)
-	result := make([]float64, n)
-	// Poisson weights computed iteratively in log space to avoid overflow.
-	logW := -lt // log weight of k=0
-	cum := 0.0
-	maxK := int(lt + 10*math.Sqrt(lt) + 50)
-	for k := 0; ; k++ {
-		w := math.Exp(logW)
-		for i := 0; i < n; i++ {
-			result[i] += w * v[i]
-		}
-		cum += w
-		if 1-cum < eps || k > maxK {
-			break
-		}
-		// v = v P.
-		next := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if v[i] == 0 {
-				continue
-			}
-			exit := c.ExitRate(StateID(i))
-			next[i] += v[i] * (1 - exit/lambda)
-			for to, r := range c.rates[i] {
-				next[to] += v[i] * r / lambda
-			}
-		}
-		v = next
-		logW += math.Log(lt) - math.Log(float64(k+1))
-	}
-	// Renormalize the truncation remainder.
-	total := 0.0
-	for _, p := range result {
-		total += p
-	}
-	if total > 0 {
-		for i := range result {
-			result[i] /= total
-		}
-	}
-	return result, nil
-}
 
 // MeanTimeToAbsorption returns, for each transient (non-absorbing) state,
 // the expected time to reach ANY absorbing state starting from it, solving
@@ -205,140 +113,6 @@ func (c *Chain) MeanTimeToAbsorption() (map[StateID]float64, error) {
 		out[s] = x[i]
 	}
 	return out, nil
-}
-
-// AbsorptionProbabilities returns, for each transient state, the
-// probability of eventually being absorbed in the given target state
-// (which must be absorbing).
-func (c *Chain) AbsorptionProbabilities(target StateID) (map[StateID]float64, error) {
-	if !c.Absorbing(target) {
-		return nil, fmt.Errorf("%w: target %q is not absorbing", ErrBadChain, c.names[target])
-	}
-	n := len(c.names)
-	var transient []StateID
-	for s := 0; s < n; s++ {
-		if !c.Absorbing(StateID(s)) {
-			transient = append(transient, StateID(s))
-		}
-	}
-	idx := map[StateID]int{}
-	for i, s := range transient {
-		idx[s] = i
-	}
-	m := len(transient)
-	if m == 0 {
-		return map[StateID]float64{}, nil
-	}
-	a := make([][]float64, m)
-	b := make([]float64, m)
-	for i, s := range transient {
-		a[i] = make([]float64, m)
-		a[i][i] = c.ExitRate(s)
-		for to, r := range c.rates[s] {
-			if j, ok := idx[to]; ok {
-				a[i][j] -= r
-			} else if to == target {
-				b[i] += r
-			}
-		}
-	}
-	x, err := solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadChain, err)
-	}
-	out := map[StateID]float64{}
-	for i, s := range transient {
-		out[s] = x[i]
-	}
-	return out, nil
-}
-
-// ExpectedVisits returns, for each transient state, the expected number
-// of visits (entries) to it before absorption, starting from the given
-// state — the fundamental-matrix row of the embedded jump chain. For an
-// attack model this reads as "how many times does the attacker pass
-// through each stage", i.e. the expected attempt counts behind the
-// Time-To-Attack.
-func (c *Chain) ExpectedVisits(from StateID) (map[StateID]float64, error) {
-	if int(from) < 0 || int(from) >= len(c.names) {
-		return nil, fmt.Errorf("%w: unknown state %d", ErrBadChain, from)
-	}
-	var transient []StateID
-	for s := 0; s < len(c.names); s++ {
-		if !c.Absorbing(StateID(s)) {
-			transient = append(transient, StateID(s))
-		}
-	}
-	if c.Absorbing(from) {
-		return map[StateID]float64{}, nil
-	}
-	idx := map[StateID]int{}
-	for i, s := range transient {
-		idx[s] = i
-	}
-	m := len(transient)
-	// Visits v solve v = e_from + v·P over transient states, i.e.
-	// (I − P)ᵀ x = e_from with x = vᵀ.
-	a := make([][]float64, m)
-	for i := range a {
-		a[i] = make([]float64, m)
-		a[i][i] = 1
-	}
-	for i, s := range transient {
-		exit := c.ExitRate(s)
-		for to, r := range c.rates[s] {
-			if j, ok := idx[to]; ok {
-				a[j][i] -= r / exit // transpose: column i gets P[i][j]
-			}
-		}
-	}
-	b := make([]float64, m)
-	b[idx[from]] = 1
-	x, err := solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadChain, err)
-	}
-	out := map[StateID]float64{}
-	for i, s := range transient {
-		out[s] = x[i]
-	}
-	return out, nil
-}
-
-// SteadyState returns the stationary distribution of an irreducible chain
-// by solving πQ = 0, Σπ = 1.
-func (c *Chain) SteadyState() ([]float64, error) {
-	n := len(c.names)
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty chain", ErrBadChain)
-	}
-	for s := 0; s < n; s++ {
-		if c.Absorbing(StateID(s)) {
-			return nil, fmt.Errorf("%w: state %q is absorbing; steady state undefined for reducible chains",
-				ErrBadChain, c.names[s])
-		}
-	}
-	// Build Q^T with the last equation replaced by Σπ = 1.
-	a := make([][]float64, n)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		a[i][i] -= c.ExitRate(StateID(i)) // column i of Q gets −exit on diagonal
-		for to, r := range c.rates[i] {
-			a[to][i] += r
-		}
-	}
-	for j := 0; j < n; j++ {
-		a[n-1][j] = 1
-	}
-	b[n-1] = 1
-	x, err := solve(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadChain, err)
-	}
-	return x, nil
 }
 
 // solve performs Gaussian elimination with partial pivoting on a copy of

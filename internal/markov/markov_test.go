@@ -3,61 +3,7 @@ package markov
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestTwoStateTransient(t *testing.T) {
-	// Simple birth-death: A <-> B with rates 2 (A→B) and 3 (B→A).
-	c := NewChain()
-	a := c.State("A")
-	b := c.State("B")
-	c.Transition(a, b, 2).Transition(b, a, 3)
-	// Analytic: P_A(t) = 3/5 + 2/5 e^{-5t} starting from A.
-	for _, tt := range []float64{0, 0.1, 0.5, 2} {
-		dist, err := c.Transient([]float64{1, 0}, tt, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0.6 + 0.4*math.Exp(-5*tt)
-		if math.Abs(dist[0]-want) > 1e-8 {
-			t.Fatalf("P_A(%v) = %v, want %v", tt, dist[0], want)
-		}
-	}
-}
-
-func TestTransientAbsorbing(t *testing.T) {
-	// A → B (absorbing), rate 1: P_B(t) = 1 - e^{-t}.
-	c := NewChain()
-	a := c.State("A")
-	b := c.State("B")
-	c.Transition(a, b, 1)
-	dist, err := c.Transient([]float64{1, 0}, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dist[1]-(1-math.Exp(-2))) > 1e-8 {
-		t.Fatalf("P_B(2) = %v", dist[1])
-	}
-}
-
-func TestTransientValidation(t *testing.T) {
-	c := NewChain()
-	c.State("A")
-	if _, err := c.Transient([]float64{0.5, 0.5}, 1, 0); err == nil {
-		t.Fatal("wrong-length initial accepted")
-	}
-	if _, err := c.Transient([]float64{0.5}, 1, 0); err == nil {
-		t.Fatal("non-normalized initial accepted")
-	}
-	if _, err := c.Transient([]float64{1}, -1, 0); err == nil {
-		t.Fatal("negative time accepted")
-	}
-	// Chain with no transitions: distribution is constant.
-	dist, err := c.Transient([]float64{1}, 5, 0)
-	if err != nil || dist[0] != 1 {
-		t.Fatalf("dist=%v err=%v", dist, err)
-	}
-}
 
 func TestMeanTimeToAbsorptionSerial(t *testing.T) {
 	// A → B → C(absorbing), rates r1, r2: E[T from A] = 1/r1 + 1/r2.
@@ -105,70 +51,6 @@ func TestMeanTimeUnreachableAbsorption(t *testing.T) {
 	c.Transition(a, b, 1).Transition(b, a, 1)
 	if _, err := c.MeanTimeToAbsorption(); err == nil {
 		t.Fatal("singular system accepted")
-	}
-}
-
-func TestAbsorptionProbabilities(t *testing.T) {
-	// A branches to two absorbing states with rates 1 and 3.
-	c := NewChain()
-	a := c.State("A")
-	win := c.State("Win")
-	lose := c.State("Lose")
-	c.Transition(a, win, 1).Transition(a, lose, 3)
-	probs, err := c.AbsorptionProbabilities(win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(probs[a]-0.25) > 1e-12 {
-		t.Fatalf("P(win from A) = %v, want 0.25", probs[a])
-	}
-	if _, err := c.AbsorptionProbabilities(a); err == nil {
-		t.Fatal("non-absorbing target accepted")
-	}
-}
-
-func TestSteadyState(t *testing.T) {
-	// Two-state: π_A = μ/(λ+μ) with λ = 2 (A→B), μ = 3 (B→A).
-	c := NewChain()
-	a := c.State("A")
-	b := c.State("B")
-	c.Transition(a, b, 2).Transition(b, a, 3)
-	pi, err := c.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pi[0]-0.6) > 1e-12 || math.Abs(pi[1]-0.4) > 1e-12 {
-		t.Fatalf("π = %v, want [0.6 0.4]", pi)
-	}
-	// Absorbing chain has no steady state.
-	c2 := NewChain()
-	x := c2.State("X")
-	y := c2.State("Y")
-	c2.Transition(x, y, 1)
-	if _, err := c2.SteadyState(); err == nil {
-		t.Fatal("reducible chain accepted")
-	}
-}
-
-func TestSteadyStateMatchesLongTransient(t *testing.T) {
-	c := NewChain()
-	a := c.State("A")
-	b := c.State("B")
-	d := c.State("C")
-	c.Transition(a, b, 1).Transition(b, d, 2).Transition(d, a, 3).
-		Transition(b, a, 0.5)
-	pi, err := c.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	longRun, err := c.Transient([]float64{1, 0, 0}, 200, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pi {
-		if math.Abs(pi[i]-longRun[i]) > 1e-6 {
-			t.Fatalf("steady %v vs transient(200) %v", pi, longRun)
-		}
 	}
 }
 
@@ -251,135 +133,11 @@ func TestMadanDiversityEffect(t *testing.T) {
 	}
 }
 
-// Property: transient distributions remain valid probability vectors.
-func TestQuickTransientIsDistribution(t *testing.T) {
-	f := func(r1Raw, r2Raw, tRaw uint16) bool {
-		r1 := float64(r1Raw%100)/10 + 0.1
-		r2 := float64(r2Raw%100)/10 + 0.1
-		tt := float64(tRaw%50) / 10
-		c := NewChain()
-		a := c.State("A")
-		b := c.State("B")
-		d := c.State("D")
-		c.Transition(a, b, r1).Transition(b, a, r2).Transition(b, d, r1)
-		dist, err := c.Transient([]float64{1, 0, 0}, tt, 0)
-		if err != nil {
-			return false
-		}
-		sum := 0.0
-		for _, p := range dist {
-			if p < -1e-12 || p > 1+1e-12 {
-				return false
-			}
-			sum += p
-		}
-		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkMTTSF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := NewMadanModel(0.5, 1, 2, 0.7, 1)
 		if _, err := m.MTTSF(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkTransient(b *testing.B) {
-	c := NewChain()
-	states := make([]StateID, 20)
-	for i := range states {
-		states[i] = c.State("s")
-	}
-	for i := 0; i < len(states)-1; i++ {
-		c.Transition(states[i], states[i+1], 1.5)
-		if i > 0 {
-			c.Transition(states[i], states[i-1], 0.5)
-		}
-	}
-	init := make([]float64, len(states))
-	init[0] = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Transient(init, 10, 1e-9); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestExpectedVisitsSerial(t *testing.T) {
-	// A → B → C(absorbing): exactly one visit to A and B.
-	c := NewChain()
-	a := c.State("A")
-	b := c.State("B")
-	cc := c.State("C")
-	c.Transition(a, b, 2).Transition(b, cc, 4)
-	visits, err := c.ExpectedVisits(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(visits[a]-1) > 1e-12 || math.Abs(visits[b]-1) > 1e-12 {
-		t.Fatalf("visits = %v, want A:1 B:1", visits)
-	}
-}
-
-func TestExpectedVisitsWithRetryLoop(t *testing.T) {
-	// A → B; from B: back to A w.p. 1/2, absorb w.p. 1/2.
-	// Expected visits: B = 2 (geometric), A = 2.
-	c := NewChain()
-	a := c.State("A")
-	b := c.State("B")
-	cc := c.State("C")
-	c.Transition(a, b, 1).Transition(b, a, 3).Transition(b, cc, 3)
-	visits, err := c.ExpectedVisits(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(visits[a]-2) > 1e-9 || math.Abs(visits[b]-2) > 1e-9 {
-		t.Fatalf("visits = %v, want A:2 B:2", visits)
-	}
-	// Consistency: mean absorption time equals Σ visits(s)/exitRate(s).
-	mt, err := c.MeanTimeToAbsorption()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reconstructed := visits[a]/c.ExitRate(a) + visits[b]/c.ExitRate(b)
-	if math.Abs(mt[a]-reconstructed) > 1e-9 {
-		t.Fatalf("MTTA %v != Σ visits/exit %v", mt[a], reconstructed)
-	}
-}
-
-func TestExpectedVisitsEdgeCases(t *testing.T) {
-	c := NewChain()
-	a := c.State("A")
-	b := c.State("B")
-	c.Transition(a, b, 1)
-	// From an absorbing state: no visits.
-	visits, err := c.ExpectedVisits(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(visits) != 0 {
-		t.Fatalf("visits from absorbing = %v", visits)
-	}
-	if _, err := c.ExpectedVisits(StateID(99)); err == nil {
-		t.Fatal("unknown state accepted")
-	}
-}
-
-func TestExpectedVisitsMadanAttempts(t *testing.T) {
-	// In the Madan model with detection, the attacker re-enters Attacked
-	// once per detected cycle: visits(Attacked) = (fail+detect)/fail.
-	m := NewMadanModel(1, 1, 1, 5, 2)
-	visits, err := m.Chain.ExpectedVisits(m.Good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(visits[m.Attacked]-6) > 1e-9 {
-		t.Fatalf("visits(Attacked) = %v, want 6", visits[m.Attacked])
 	}
 }

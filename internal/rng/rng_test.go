@@ -218,48 +218,6 @@ func TestWeibullMean(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(23)
-	const p, n = 0.25, 100000
-	sum := 0
-	for i := 0; i < n; i++ {
-		v := r.Geometric(p)
-		if v < 0 {
-			t.Fatalf("negative geometric sample %d", v)
-		}
-		sum += v
-	}
-	mean := float64(sum) / n
-	want := (1 - p) / p
-	if math.Abs(mean-want) > 0.1 {
-		t.Fatalf("geometric mean %v, want ~%v", mean, want)
-	}
-}
-
-func TestGeometricPOne(t *testing.T) {
-	r := New(29)
-	for i := 0; i < 100; i++ {
-		if v := r.Geometric(1); v != 0 {
-			t.Fatalf("Geometric(1) = %d, want 0", v)
-		}
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := New(31)
-	for _, mean := range []float64{0.5, 4, 50} {
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%v) sample mean %v", mean, got)
-		}
-	}
-}
-
 func TestBoolEdges(t *testing.T) {
 	r := New(37)
 	for i := 0; i < 100; i++ {

@@ -11,10 +11,9 @@
 //   - input arcs and input gates control enabling: an activity is enabled
 //     when every input arc's place holds enough tokens and every input
 //     gate's predicate holds;
-//   - on completion an activity consumes its input arcs, executes its
-//     input-gate functions, selects one of its cases at random, then adds
-//     that case's output-arc tokens and executes its output gates;
-//   - reward variables accumulate functions of the marking over time.
+//   - on completion an activity consumes its input arcs, selects one of
+//     its cases at random, then adds that case's output-arc tokens and
+//     executes its output gates.
 //
 // Timer semantics follow the Möbius default: a timed activity samples its
 // completion time when it becomes enabled and keeps it while it stays
@@ -44,12 +43,9 @@ type PlaceID int
 // Marking is the token count per place, indexed by PlaceID.
 type Marking []int
 
-// Clone returns an independent copy of the marking.
-func (m Marking) Clone() Marking { return append(Marking(nil), m...) }
-
 // CopyInto copies m into dst, reusing dst's backing array when its
 // capacity suffices, and returns the destination. Replication loops use
-// it to recycle one scratch marking across runs instead of Cloning a
+// it to recycle one scratch marking across runs instead of allocating a
 // fresh one per replication (see NewSimReusing).
 func (m Marking) CopyInto(dst Marking) Marking {
 	return append(dst[:0], m...)
@@ -64,12 +60,11 @@ type Arc struct {
 	Tokens int
 }
 
-// InputGate is a guard with an optional marking transformation executed
-// when the owning activity completes.
+// InputGate is a guard: a predicate on the marking that must hold for
+// the owning activity to be enabled.
 type InputGate struct {
 	Name    string
 	Enabled func(m Marking) bool
-	Fn      func(m Marking) // optional; may be nil
 }
 
 // OutputGate transforms the marking when a case is selected.
@@ -103,12 +98,6 @@ type Activity struct {
 	id    int
 }
 
-// Name returns the activity's name.
-func (a *Activity) Name() string { return a.name }
-
-// Timed reports whether the activity has a stochastic delay.
-func (a *Activity) Timed() bool { return a.timed }
-
 // SetResample makes the activity resample its firing time on every marking
 // change while enabled (instead of only when disabled). Used for semantics
 // ablation.
@@ -120,15 +109,9 @@ func (a *Activity) Input(p PlaceID, tokens int) *Activity {
 	return a
 }
 
-// Guard adds an input gate with only a predicate.
+// Guard adds an input gate.
 func (a *Activity) Guard(name string, pred func(m Marking) bool) *Activity {
 	a.gates = append(a.gates, InputGate{Name: name, Enabled: pred})
-	return a
-}
-
-// GuardFn adds an input gate with a predicate and a completion function.
-func (a *Activity) GuardFn(name string, pred func(m Marking) bool, fn func(m Marking)) *Activity {
-	a.gates = append(a.gates, InputGate{Name: name, Enabled: pred, Fn: fn})
 	return a
 }
 
@@ -167,15 +150,6 @@ func (m *Model) Place(name string, initialTokens int) PlaceID {
 	m.initial = append(m.initial, initialTokens)
 	return PlaceID(len(m.placeNames) - 1)
 }
-
-// PlaceName returns the declared name of p.
-func (m *Model) PlaceName(p PlaceID) string { return m.placeNames[p] }
-
-// Places returns the number of places.
-func (m *Model) Places() int { return len(m.placeNames) }
-
-// Activities returns the model's activities in declaration order.
-func (m *Model) Activities() []*Activity { return m.activities }
 
 // TimedActivity declares an activity whose completion delay is drawn from
 // dist each time it becomes enabled.
@@ -263,21 +237,6 @@ type Firing struct {
 	Case     string
 }
 
-// Reward is a rate reward: a function of the marking whose time integral
-// and terminal value the simulator reports.
-type Reward struct {
-	Name string
-	Rate func(m Marking) float64
-}
-
-// RewardValue is the result of a reward variable after a run.
-type RewardValue struct {
-	Name     string
-	Integral float64 // ∫ rate(m(t)) dt over the run
-	Final    float64 // rate(m(T)) at the end of the run
-	TimeAvg  float64 // Integral / elapsed time (0 if no time elapsed)
-}
-
 // Sim executes one trajectory of a Model. Create one Sim per replication;
 // a Sim is single-goroutine only.
 type Sim struct {
@@ -286,9 +245,6 @@ type Sim struct {
 	eng     *des.Sim
 	r       *rng.Rand
 	timers  []des.Handle // per activity; the zero Handle when not scheduled
-	rewards []Reward
-	accum   []float64 // reward integrals
-	lastT   float64
 	trace   []Firing
 	keep    bool
 	maxInst int
@@ -303,7 +259,7 @@ func NewSim(model *Model, r *rng.Rand) (*Sim, error) {
 }
 
 // NewSimReusing is NewSim with a caller-provided scratch marking: the
-// initial marking is CopyInto'd scratch instead of freshly Cloned, so
+// initial marking is CopyInto'd scratch instead of freshly allocated, so
 // Monte-Carlo loops that build a Sim per replication can recycle one
 // buffer (per worker) across replications. The Sim owns the scratch for
 // its lifetime; once the run is over, Marking() returns it for reuse.
@@ -330,34 +286,15 @@ func (s *Sim) KeepTrace() { s.keep = true }
 // Trace returns the recorded firings (empty unless KeepTrace was called).
 func (s *Sim) Trace() []Firing { return s.trace }
 
-// AddReward registers a rate reward before the run starts.
-func (s *Sim) AddReward(rw Reward) {
-	s.rewards = append(s.rewards, rw)
-	s.accum = append(s.accum, 0)
-}
-
 // Marking returns the live marking (do not mutate).
 func (s *Sim) Marking() Marking { return s.marking }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() float64 { return s.eng.Now() }
 
-// accumulate integrates rewards up to the current engine time.
-func (s *Sim) accumulate() {
-	now := s.eng.Now()
-	dt := now - s.lastT
-	if dt > 0 {
-		for i, rw := range s.rewards {
-			s.accum[i] += rw.Rate(s.marking) * dt
-		}
-	}
-	s.lastT = now
-}
-
-// fire completes activity a: consume inputs, run gate functions, select a
-// case, apply outputs.
+// fire completes activity a: consume inputs, select a case, apply
+// outputs.
 func (s *Sim) fire(a *Activity) {
-	s.accumulate()
 	for _, arc := range a.inputs {
 		s.marking[arc.Place] -= arc.Tokens
 		if s.marking[arc.Place] < 0 {
@@ -365,11 +302,6 @@ func (s *Sim) fire(a *Activity) {
 				ErrInvalidModel, s.model.placeNames[arc.Place], a.name)
 			s.eng.Stop()
 			return
-		}
-	}
-	for _, g := range a.gates {
-		if g.Fn != nil {
-			g.Fn(s.marking)
 		}
 	}
 	c := s.selectCase(a)
@@ -512,11 +444,7 @@ func (s *Sim) Run(horizon float64) error {
 	if err := s.eng.Run(horizon); err != nil && !errors.Is(err, des.ErrStopped) {
 		return err
 	}
-	if s.err != nil {
-		return s.err
-	}
-	s.accumulate()
-	return nil
+	return s.err
 }
 
 // RunUntil executes until pred(marking) holds or the horizon passes. It
@@ -534,20 +462,5 @@ func (s *Sim) RunUntil(horizon float64, pred func(m Marking) bool) (bool, float6
 	if s.err != nil {
 		return false, 0, s.err
 	}
-	s.accumulate()
 	return ok, s.eng.Now(), nil
-}
-
-// Rewards returns the reward variables' values for the run so far.
-func (s *Sim) Rewards() []RewardValue {
-	out := make([]RewardValue, len(s.rewards))
-	elapsed := s.eng.Now()
-	for i, rw := range s.rewards {
-		v := RewardValue{Name: rw.Name, Integral: s.accum[i], Final: rw.Rate(s.marking)}
-		if elapsed > 0 {
-			v.TimeAvg = s.accum[i] / elapsed
-		}
-		out[i] = v
-	}
-	return out
 }

@@ -206,30 +206,6 @@ func TestRaceCancelsLoserTimer(t *testing.T) {
 	}
 }
 
-func TestRewardIntegral(t *testing.T) {
-	m := NewModel()
-	up := m.Place("up", 1)
-	down := m.Place("down", 0)
-	m.TimedActivity("fail", rng.Deterministic{Value: 4}).Input(up, 1).Output(down, 1)
-	s := mustSim(t, m, 1)
-	s.AddReward(Reward{Name: "availability", Rate: func(mk Marking) float64 {
-		return float64(mk[up])
-	}})
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	rv := s.Rewards()[0]
-	if math.Abs(rv.Integral-4) > 1e-9 {
-		t.Fatalf("integral = %v, want 4", rv.Integral)
-	}
-	if math.Abs(rv.TimeAvg-0.4) > 1e-9 {
-		t.Fatalf("time average = %v, want 0.4", rv.TimeAvg)
-	}
-	if rv.Final != 0 {
-		t.Fatalf("final = %v, want 0", rv.Final)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	m := NewModel()
 	stage := m.Place("stage", 0)

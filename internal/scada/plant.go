@@ -145,10 +145,9 @@ type PlantConfig struct {
 // Plant couples the discrete-event engine, the physical process, the
 // PLCs and the HMI into a closed control loop.
 type Plant struct {
-	cfg   PlantConfig
-	sim   *des.Sim
-	r     *rng.Rand
-	stops []func()
+	cfg PlantConfig
+	sim *des.Sim
+	r   *rng.Rand
 }
 
 // NewPlant validates the wiring and prepares the loop on the given
@@ -184,7 +183,7 @@ func NewPlant(sim *des.Sim, r *rng.Rand, cfg PlantConfig) (*Plant, error) {
 // commands are applied; every PollPeriod the HMI polls and the historian
 // records.
 func (p *Plant) Start() {
-	stepStop := p.sim.Every(p.cfg.StepPeriod, func(now float64) {
+	p.sim.Every(p.cfg.StepPeriod, func(now float64) {
 		p.cfg.Process.Step(p.cfg.StepPeriod)
 		sensors := p.cfg.Process.Sensors()
 		for _, sb := range p.cfg.Sensors {
@@ -221,10 +220,9 @@ func (p *Plant) Start() {
 			p.cfg.Process.Actuate(cmds)
 		}
 	})
-	p.stops = append(p.stops, stepStop)
 
 	if p.cfg.HMI != nil {
-		pollStop := p.sim.Every(p.cfg.PollPeriod, func(now float64) {
+		p.sim.Every(p.cfg.PollPeriod, func(now float64) {
 			p.cfg.HMI.Poll(now)
 			if p.cfg.Historian != nil {
 				for _, w := range p.cfg.HMI.watches {
@@ -236,14 +234,5 @@ func (p *Plant) Start() {
 				}
 			}
 		})
-		p.stops = append(p.stops, pollStop)
 	}
-}
-
-// Stop cancels the scheduled loops.
-func (p *Plant) Stop() {
-	for _, s := range p.stops {
-		s()
-	}
-	p.stops = nil
 }

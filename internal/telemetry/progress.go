@@ -45,10 +45,6 @@ func NewProgress(w io.Writer, ticker bool) *Progress {
 	return &Progress{w: w, ticker: ticker, interval: defaultTickInterval, now: time.Now}
 }
 
-// SetInterval overrides the round-line rate limit (0 prints every
-// round). For tests and high-latency terminals.
-func (p *Progress) SetInterval(d time.Duration) { p.interval = d }
-
 // Emit implements Sink.
 func (p *Progress) Emit(e Event) {
 	p.mu.Lock()
