@@ -96,9 +96,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		seed        = fs.Uint64("seed", 1, "RNG seed (fixes the whole search)")
 		workers     = fs.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS)")
 		asJSON      = fs.Bool("json", false, "emit the full result as JSON")
-		checkpoint  = fs.String("checkpoint", "", "snapshot the search state to this file (crash-safe atomic writes; resumable with -resume)")
-		ckptEvery   = fs.Int("checkpoint-every", 0, "evaluations between checkpoint snapshots (0 = default 32)")
-		resume      = fs.String("resume", "", "restore a -checkpoint file before searching; the deterministic replay reproduces the uninterrupted result byte for byte (missing file = fresh start)")
+		checkpoint  = fs.String("checkpoint", "", "log every completed evaluation to this file; rerun with the same -checkpoint to resume, reproducing the uninterrupted result byte for byte")
 		storePath   = fs.String("store", "", "durable evaluation store: append completed measurements here and warm-start re-optimizations from them")
 		traceSample = fs.Float64("trace-sample", 0, "fraction of replications traced for the post-search causal explanations in [0,1] (0 = off; see cmd/diversify-trace for the full toolchain)")
 		progress    = fs.Bool("progress", false, "print a live one-line-per-round progress ticker to stderr")
@@ -149,8 +147,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		Budget:     *budget, PlatformCost: *platform, NodeCost: *nodeCost,
 		Iterations: *iters, Population: *pop,
 		Reps: *reps, HorizonHours: *horizon, Seed: *seed, Workers: *workers,
-		Checkpoint: *checkpoint, CheckpointEvery: *ckptEvery,
-		Resume: *resume, Store: *storePath, TraceSample: *traceSample,
+		Checkpoint: *checkpoint, Store: *storePath, TraceSample: *traceSample,
 		ProgressSink: sink, Metrics: reg,
 	})
 	if err != nil {

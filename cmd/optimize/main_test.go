@@ -342,9 +342,9 @@ func TestRunDegradedOnCancel(t *testing.T) {
 }
 
 // The full crash-recovery loop at CLI level: interrupt a checkpointed
-// run, then resume it (under a different worker count) and get stdout
-// byte-identical to an uninterrupted run — the user-facing form of the
-// replay-based resume contract.
+// run, then run it again with the same -checkpoint (under a different
+// worker count) and get stdout byte-identical to an uninterrupted run —
+// the user-facing form of the replay-based resume contract.
 func TestRunResumeReproducesCleanOutput(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "search.ckpt")
 	base := []string{
@@ -360,7 +360,7 @@ func TestRunResumeReproducesCleanOutput(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, append([]string{"-checkpoint", ck, "-checkpoint-every", "5", "-workers", "4"}, base...), io.Discard, io.Discard)
+		done <- run(ctx, append([]string{"-checkpoint", ck, "-workers", "4"}, base...), io.Discard, io.Discard)
 	}()
 	time.Sleep(300 * time.Millisecond)
 	cancel()
@@ -373,10 +373,10 @@ func TestRunResumeReproducesCleanOutput(t *testing.T) {
 		t.Fatalf("interrupted run left no checkpoint: %v", statErr)
 	}
 	// Resume under different worker counts: stdout must match the clean
-	// run byte for byte, stderr must report the restore.
+	// run byte for byte, stderr must report what the log held.
 	for _, workers := range []string{"1", "3"} {
 		var out, errb bytes.Buffer
-		if err := run(t.Context(), append([]string{"-resume", ck, "-workers", workers}, base...), &out, &errb); err != nil {
+		if err := run(t.Context(), append([]string{"-checkpoint", ck, "-workers", workers}, base...), &out, &errb); err != nil {
 			t.Fatalf("resume with %s workers: %v", workers, err)
 		}
 		if out.String() != clean.String() {
@@ -384,7 +384,7 @@ func TestRunResumeReproducesCleanOutput(t *testing.T) {
 		}
 		if err == nil && !strings.Contains(errb.String(), "resumed") {
 			// The injected interruption may have raced the search's natural
-			// completion; a full checkpoint still restores > 0 evaluations.
+			// completion; a complete log still holds > 0 evaluations.
 			t.Fatalf("stderr missing the resume notice: %q", errb.String())
 		}
 	}

@@ -280,19 +280,16 @@ type OptimizeConfig struct {
 	HorizonHours float64
 	Seed         uint64
 	Workers      int
-	// Checkpoint, when set, snapshots the search state to this file
-	// every CheckpointEvery evaluations (default 32) and at the end of
-	// the search — crash-safe via atomic rename, resumable via Resume.
-	Checkpoint      string
-	CheckpointEvery int
-	// Resume restores a previous run's checkpoint before searching; the
-	// deterministic replay makes the final result byte-identical to an
-	// uninterrupted run. A missing file starts fresh (crash-restart
-	// loops); a corrupt or mismatched file is an error.
-	Resume string
+	// Checkpoint, when set, logs every completed measurement to this
+	// file (an evaluation log, synced every 32 appends). Resume a crashed
+	// run by running it again with the same Checkpoint: the deterministic
+	// search replays from the log, and the result is byte-identical to
+	// an uninterrupted run.
+	Checkpoint string
 	// Store, when set, attaches the durable evaluation store at this
 	// path: completed measurements are appended crash-safely and re-used
 	// to warm-start re-optimizations under tweaked budgets or objectives.
+	// Store and Checkpoint may name the same file.
 	Store string
 	// TraceSample, when positive, replays the baseline and winning
 	// candidates after the search with causal trace capture on this
@@ -462,16 +459,14 @@ func OptimizeContext(ctx context.Context, cfg OptimizeConfig) (*OptimizeResult, 
 		Iterations: cfg.Iterations, Population: cfg.Population,
 		TraceSample: cfg.TraceSample,
 	}, opt, optimize.RunOptions{
-		CheckpointPath:  cfg.Checkpoint,
-		CheckpointEvery: cfg.CheckpointEvery,
-		ResumePath:      cfg.Resume,
-		StorePath:       cfg.Store,
-		Sink:            cfg.ProgressSink,
-		Metrics:         cfg.Metrics,
+		CheckpointPath: cfg.Checkpoint,
+		StorePath:      cfg.Store,
+		Sink:           cfg.ProgressSink,
+		Metrics:        cfg.Metrics,
 	})
 }
 
 // OptimizeRunStats re-exports the fault-tolerance runtime bookkeeping
-// carried on OptimizeResult.Stats (checkpoint writes, restored and
-// store-served evaluations, wall-clock).
+// carried on OptimizeResult.Stats (log syncs, log-served evaluations,
+// wall-clock).
 type OptimizeRunStats = optimize.RunStats

@@ -2,11 +2,14 @@
 // completed Monte-Carlo evaluation measurements.
 //
 // The optimizer's in-memory memo cache dies with the process; the store
-// is its disk-backed complement for warm-starting re-optimizations: a
-// measurement is a pure function of (topology, candidate, evaluation
-// spec), so a re-run under a tweaked budget, objective or strategy can
-// re-use every measurement whose key matches instead of re-simulating
-// hundreds of replications per candidate.
+// is its disk-backed complement. A measurement is a pure function of
+// (topology, candidate, evaluation spec), so a re-run under a tweaked
+// budget, objective or strategy can re-use every measurement whose key
+// matches instead of re-simulating hundreds of replications per
+// candidate. The same property makes the store the optimizer's resume
+// log: a deterministic search re-run against the log of a crashed run
+// retraces its steps and is served every evaluation finished before the
+// crash.
 //
 // The file layout is a header followed by self-checking records:
 //
@@ -66,6 +69,7 @@ type Store struct {
 	f         *os.File             //diversify:guardedby mu
 	mem       map[Key]Measurements //diversify:guardedby mu
 	recovered int                  //diversify:guardedby mu
+	unsynced  int                  //diversify:guardedby mu
 }
 
 // Open opens (or creates) the store at path, replaying every intact
@@ -192,7 +196,23 @@ func (s *Store) Put(key Key, m Measurements) error {
 		return err
 	}
 	s.mem[key] = m
+	s.unsynced += len(buf)
 	return nil
+}
+
+// Sync commits every record appended so far to stable storage and
+// reports how many bytes were appended since the previous Sync. Put
+// alone survives a process crash (each record is one write); Sync is
+// what makes records survive an OS crash or power loss.
+func (s *Store) Sync() (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.f.Sync(); err != nil {
+		return 0, err
+	}
+	n := s.unsynced
+	s.unsynced = 0
+	return n, nil
 }
 
 // Len reports how many distinct evaluations the store holds.

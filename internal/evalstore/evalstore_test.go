@@ -36,6 +36,13 @@ func TestPutGetAcrossReopen(t *testing.T) {
 	if st.Len() != n {
 		t.Fatalf("Len = %d, want %d", st.Len(), n)
 	}
+	// Sync reports the bytes appended since the previous Sync.
+	if got, err := st.Sync(); err != nil || got != n*(4+payloadSize+4) {
+		t.Fatalf("Sync = %d, %v; want %d bytes", got, err, n*(4+payloadSize+4))
+	}
+	if got, err := st.Sync(); err != nil || got != 0 {
+		t.Fatalf("second Sync = %d, %v; want 0 bytes", got, err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -94,20 +94,18 @@ type Evaluator struct {
 	sink    telemetry.Sink
 	started time.Time
 
-	// ck, when non-nil, snapshots the archive to disk after archive
-	// appends (RunWith wires it; nil for plain runs and for the random
-	// baseline, which is excluded from checkpoints).
-	ck *checkpointer
-
-	// store, when non-nil, is the durable evaluation store: cache misses
-	// consult it before simulating (topoFP/specFP complete the key), and
-	// fresh measurements are appended to it. A store write failure
-	// detaches the store instead of killing the search — durability is
-	// auxiliary, the in-memory run is authoritative.
-	store          *evalstore.Store
+	// logs are the durable evaluation logs (internal/evalstore), one per
+	// distinct file: the store, then the checkpoint. A cache miss is
+	// served by the first log holding its key (topoFP and specFP complete
+	// it); a fresh measurement is appended to every log, and a failed
+	// append fails the Score call. storeHits/storePuts count serves and
+	// fresh appends; syncs and syncTime the periodic log syncs.
+	logs           []*evalstore.Store
 	topoFP, specFP uint64
 	storeHits      int
 	storePuts      int
+	syncs          int
+	syncTime       time.Duration
 
 	// reps[i] is replication i's contribution to the current candidate,
 	// aggregated sequentially in replication order so float accumulation
@@ -219,27 +217,22 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 	}
 	e.misses++
 	var s Score
-	stored := false
-	if e.store != nil {
-		if m, ok := e.store.Get(e.storeKey(fp)); ok {
-			// Warm start: the measurements are a pure function of the key,
-			// so re-using them is bit-identical to re-simulating. Value and
-			// Cost are recomputed below under THIS run's objective and cost
-			// model — which is what lets a budget- or objective-tweaked
-			// re-optimization skip the replications.
-			s = scoreFromMeasurements(m)
-			s.Value = e.value(s)
-			e.storeHits++
-			stored = true
-			if e.sink != nil {
-				e.sink.Emit(telemetry.EvaluationBatch{
-					Fingerprint: fp, FromStore: true,
-					Evaluations: e.misses, CacheHits: e.hits, StoreHits: e.storeHits,
-				})
-			}
+	if m, ok := e.logged(fp); ok {
+		// Warm start: the measurements are a pure function of the key,
+		// so re-using them is bit-identical to re-simulating. Value and
+		// Cost are recomputed below under THIS run's objective and cost
+		// model — which is what lets a budget- or objective-tweaked
+		// re-optimization skip the replications.
+		s = scoreFromMeasurements(m)
+		s.Value = e.value(s)
+		e.storeHits++
+		if e.sink != nil {
+			e.sink.Emit(telemetry.EvaluationBatch{
+				Fingerprint: fp, FromStore: true,
+				Evaluations: e.misses, CacheHits: e.hits, StoreHits: e.storeHits,
+			})
 		}
-	}
-	if !stored {
+	} else {
 		// The batch timer exists only when a sink does: the disabled path
 		// must not even read the clock.
 		var batchStart time.Time
@@ -258,12 +251,8 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 			return Score{}, err
 		} else {
 			s.Value = e.value(s)
-			if e.store != nil {
-				if perr := e.store.Put(e.storeKey(fp), measurementsOf(s)); perr != nil {
-					e.store = nil // a broken store must not kill a healthy search
-				} else {
-					e.storePuts++
-				}
+			if err := e.record(fp, s); err != nil {
+				return Score{}, err
 			}
 			if e.sink != nil {
 				e.sink.Emit(telemetry.EvaluationBatch{
@@ -282,11 +271,6 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 		score:       s,
 		zoneOK:      e.ZoneOK(c.A),
 	})
-	if e.ck != nil {
-		if cerr := e.ck.maybeWrite(e); cerr != nil {
-			return Score{}, cerr
-		}
-	}
 	return s, nil
 }
 

@@ -30,14 +30,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"slices"
 	"time"
 
 	"diversify/internal/des"
 	"diversify/internal/diversity"
-	"diversify/internal/evalstore"
 	"diversify/internal/exploits"
 	"diversify/internal/malware"
 	"diversify/internal/rng"
@@ -464,8 +462,8 @@ type Result struct {
 	CacheMisses  int `json:"cache_misses"`
 	Evaluations  int `json:"evaluations"`
 	Replications int `json:"replications"`
-	// Stats is the fault-tolerance runtime bookkeeping (checkpoint writes,
-	// restored evaluations, wall-clock). Outside the JSON surface so the
+	// Stats is the fault-tolerance runtime bookkeeping (log syncs,
+	// log-served evaluations, wall-clock). Outside the JSON surface so the
 	// byte-identity contract between clean and resumed runs holds.
 	Stats RunStats `json:"-"`
 	// Telemetry is the run report aggregated from the progress-event
@@ -512,32 +510,32 @@ func ByName(name string) (Optimizer, error) {
 }
 
 // RunOptions configures the fault-tolerance runtime around a search:
-// periodic checkpointing and checkpoint resume. The zero value disables
-// both (a plain run).
+// the durable evaluation logs and telemetry. The zero value is a plain
+// run.
 type RunOptions struct {
-	// CheckpointPath, when set, snapshots the evaluation archive to this
-	// file (atomic tmp+fsync+rename) every CheckpointEvery evaluations
-	// and once more when the search finishes — including when it is
-	// interrupted, so a SIGINT-degraded run leaves a resumable state.
+	// StorePath and CheckpointPath each name a durable evaluation log
+	// (internal/evalstore), created on first use. A cache miss is served
+	// from the first log holding its measurement; every fresh
+	// measurement is appended to both, and both are synced every 32
+	// appends and when the run ends. The two differ only in intent:
+	//
+	//   - StorePath is the long-lived store a later re-optimization —
+	//     same plant and threat, tweaked budget, objective or strategy —
+	//     warm-starts from.
+	//   - CheckpointPath is the crash-resume log. Resume by running again
+	//     with the same CheckpointPath: the search is deterministic, so it
+	//     retraces its steps, every evaluation finished before the crash
+	//     is served from the log, and the Result is byte-identical to an
+	//     uninterrupted run under any worker count.
+	//
+	// A log only ever serves measurements identical by construction (the
+	// key binds topology, candidate and evaluation spec), so a log
+	// written for another problem, seed or strategy cannot change a
+	// result. A torn tail from a crash is truncated away on open; a file
+	// that is not an evaluation log is an error. Naming one file for
+	// both opens it once.
+	StorePath      string
 	CheckpointPath string
-	// CheckpointEvery is the snapshot cadence in evaluations (<= 0
-	// selects the default of 32).
-	CheckpointEvery int
-	// ResumePath, when set, restores a previous run's checkpoint before
-	// searching. The search then replays deterministically: restored
-	// evaluations are cache hits, so the final Result is byte-identical
-	// to an uninterrupted run — under any worker count. A missing file
-	// is not an error (the first run of a crash-restart loop); a corrupt
-	// or mismatched file is.
-	ResumePath string
-	// StorePath, when set, attaches the durable evaluation store
-	// (internal/evalstore): cache misses consult it before spending
-	// replications, fresh measurements are appended crash-safely, and a
-	// later re-optimization — same plant and threat, tweaked budget,
-	// objective or strategy — warm-starts from everything already
-	// measured. Created on first use; a torn tail from a crash is
-	// truncated away on open.
-	StorePath string
 	// Sink, when non-nil, receives the structured progress-event stream:
 	// RunStarted, one RoundCompleted per search round, EvaluationBatch
 	// per simulated candidate, CheckpointWritten, WorkerQuarantined,
@@ -557,17 +555,13 @@ type RunOptions struct {
 // Result outside the JSON surface, so clean, checkpointed and resumed
 // runs stay byte-identical where determinism is asserted.
 type RunStats struct {
-	// Resumed reports that ResumePath existed and was restored;
-	// RestoredEvaluations counts the archive records it contributed.
-	Resumed             bool
-	RestoredEvaluations int
-	// Checkpoints counts snapshot writes; CheckpointTime is the total
-	// wall-clock they consumed (the <=5% overhead budget is asserted
-	// against Elapsed).
+	// Checkpoints counts the periodic log syncs; CheckpointTime is the
+	// total wall-clock they consumed (the <=5% overhead budget is
+	// asserted against Elapsed).
 	Checkpoints    int
 	CheckpointTime time.Duration
-	// StoreHits / StorePuts count durable evaluation-store traffic
-	// (zero when no store is attached).
+	// StoreHits counts cache misses served from a durable log; StorePuts
+	// the fresh measurements appended (zero when no log is attached).
 	StoreHits int
 	StorePuts int
 	// Retries counts replication attempts that panicked and were replayed
@@ -606,14 +600,12 @@ func RunContext(ctx context.Context, p Problem, o Optimizer) (*Result, error) {
 	return RunWith(ctx, p, o, RunOptions{})
 }
 
-// RunWith is RunContext with the fault-tolerance runtime attached:
-// periodic crash-safe checkpoints of the evaluation archive, and resume
-// from a previous checkpoint. Resume is replay-based — the restored
-// archive turns every pre-crash evaluation into a cache hit and the
-// deterministic search retraces its trajectory at memo speed — so a
-// resumed run's Result is byte-identical to an uninterrupted one,
-// regardless of where the original died or how many workers either run
-// used.
+// RunWith is RunContext with the fault-tolerance runtime attached: the
+// durable evaluation logs of RunOptions. Resume is replay-based — the
+// deterministic search retraces its trajectory and every evaluation the
+// crashed run finished is served from its log — so a resumed run's
+// Result is byte-identical to an uninterrupted one, regardless of where
+// the original died or how many workers either run used.
 func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Result, error) {
 	started := wallClock()
 	p.normalize()
@@ -645,45 +637,9 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 			Reps: p.Reps, Workers: ev.nWorkers,
 		})
 	}
-	var stats RunStats
-	var digest uint64
-	if opts.ResumePath != "" || opts.CheckpointPath != "" {
-		digest = problemDigest(&p, o.Name())
-	}
-	if opts.ResumePath != "" {
-		n, err := restoreCheckpoint(ev, opts.ResumePath, digest)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// First run of a crash-restart loop: nothing to resume yet.
-		case err != nil:
-			return nil, err
-		default:
-			stats.Resumed = true
-			stats.RestoredEvaluations = n
-			if ev.sink != nil {
-				ev.sink.Emit(telemetry.StoreWarmStart{Source: "checkpoint", Path: opts.ResumePath, Evaluations: n})
-			}
-		}
-	}
-	if opts.CheckpointPath != "" {
-		every := opts.CheckpointEvery
-		if every <= 0 {
-			every = defaultCheckpointEvery
-		}
-		ev.ck = &checkpointer{path: opts.CheckpointPath, every: every, digest: digest}
-	}
-	if opts.StorePath != "" {
-		store, err := evalstore.Open(opts.StorePath)
-		if err != nil {
-			return nil, err
-		}
-		defer store.Close()
-		ev.store = store
-		ev.topoFP = p.Topo.Fingerprint()
-		ev.specFP = evalSpecDigest(&p)
-		if ev.sink != nil {
-			ev.sink.Emit(telemetry.StoreWarmStart{Source: "evalstore", Path: opts.StorePath, Evaluations: store.Len()})
-		}
+	defer ev.closeLogs() // error paths; the success path checks the close
+	if err := ev.openLogs(opts); err != nil {
+		return nil, err
 	}
 	baseline, err := ev.Score(p.baseCand())
 	if err != nil {
@@ -696,18 +652,6 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 			return nil, err
 		}
 		degraded = "search interrupted: " + err.Error()
-	}
-	// Final checkpoint: the complete (or interruption-truncated) search
-	// state, written even for a degraded run so a SIGINT leaves the most
-	// resumable file possible. Detached afterwards — the random baseline
-	// below is a comparison row, not search state.
-	if ev.ck != nil {
-		if err := ev.ck.write(ev); err != nil {
-			return nil, err
-		}
-		stats.Checkpoints = ev.ck.writes
-		stats.CheckpointTime = ev.ck.spent
-		ev.ck = nil
 	}
 	best, bestC, bestFP := ev.bestFeasible(p.Budget)
 	if bestC.A == nil {
@@ -795,11 +739,15 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		spec := p.Rotations[bestC.Rot]
 		res.BestRotationSpec = &spec
 	}
-	stats.StoreHits = ev.storeHits
-	stats.StorePuts = ev.storePuts
-	stats.Retries = ev.retries
-	stats.Quarantined = ev.quarantined
-	stats.Elapsed = sinceWall(started)
+	if err := ev.closeLogs(); err != nil {
+		return nil, err
+	}
+	stats := RunStats{
+		Checkpoints: ev.syncs, CheckpointTime: ev.syncTime,
+		StoreHits: ev.storeHits, StorePuts: ev.storePuts,
+		Retries: ev.retries, Quarantined: ev.quarantined,
+		Elapsed: sinceWall(started),
+	}
 	res.Stats = stats
 	if ev.sink != nil {
 		// RunFinished carries the authoritative totals — the same numbers

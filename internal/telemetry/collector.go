@@ -19,8 +19,8 @@ type Report struct {
 
 	// Evaluation accounting. Evaluations = simulated candidates (cache
 	// misses); CacheHitRatio = hits / lookups; WarmStartRatio = the
-	// fraction of evaluations served from checkpoint restore or the
-	// durable store instead of fresh simulation.
+	// fraction of evaluations served from a durable evaluation log
+	// instead of fresh simulation.
 	Evaluations    int     `json:"evaluations"`
 	CacheHits      int     `json:"cache_hits"`
 	CacheHitRatio  float64 `json:"cache_hit_ratio"`
@@ -64,7 +64,6 @@ type Collector struct {
 
 	mu          sync.Mutex
 	report      Report        //diversify:guardedby mu
-	restored    int           //diversify:guardedby mu
 	lastElapsed time.Duration //diversify:guardedby mu
 	latSum      float64       //diversify:guardedby mu
 	latMax      float64       //diversify:guardedby mu
@@ -131,8 +130,8 @@ func (c *Collector) Emit(e Event) {
 	case CheckpointWritten:
 		c.report.Checkpoints++
 		if c.reg != nil {
-			c.reg.Counter("diversify_checkpoints_total", "checkpoint snapshots written").Inc()
-			c.reg.Gauge("diversify_checkpoint_bytes", "size of the last checkpoint snapshot").Set(float64(ev.Bytes))
+			c.reg.Counter("diversify_checkpoints_total", "evaluation log syncs").Inc()
+			c.reg.Gauge("diversify_checkpoint_bytes", "bytes appended between the last two log syncs").Set(float64(ev.Bytes))
 		}
 	case WorkerQuarantined:
 		if c.reg != nil {
@@ -143,16 +142,6 @@ func (c *Collector) Emit(e Event) {
 		if c.reg != nil {
 			c.reg.Counter("diversify_explanations_total", "causal explanation reports produced").Inc()
 			c.reg.Gauge("diversify_explanation_records", "records captured by the last explanation replay").Set(float64(ev.Records))
-		}
-	case StoreWarmStart:
-		// Checkpoint restores are whole evaluations back in the archive;
-		// an opened evalstore only announces what COULD be served (its
-		// actually-used hits arrive with RunFinished).
-		if ev.Source == "checkpoint" {
-			c.restored += ev.Evaluations
-			if c.reg != nil {
-				c.reg.Counter("diversify_warm_start_evaluations_total", "evaluations restored from a checkpoint").Add(uint64(ev.Evaluations))
-			}
 		}
 	case RunFinished:
 		c.finished = true
@@ -187,9 +176,9 @@ func (c *Collector) Report() *Report {
 	if lookups := r.Evaluations + r.CacheHits; lookups > 0 {
 		r.CacheHitRatio = float64(r.CacheHits) / float64(lookups)
 	}
-	// Warm starts: evaluations that cost no fresh simulation — archive
-	// records restored from a checkpoint plus durable-store serves.
-	r.WarmStarted = c.restored + r.StoreHits
+	// Warm starts: evaluations that cost no fresh simulation — the
+	// durable-log serves.
+	r.WarmStarted = r.StoreHits
 	if r.Evaluations > 0 {
 		ws := r.WarmStarted
 		if ws > r.Evaluations {

@@ -33,7 +33,6 @@ type Progress struct {
 	last      time.Time     //diversify:guardedby mu
 	best      float64       //diversify:guardedby mu
 	haveBest  bool          //diversify:guardedby mu
-	ckptPath  string        //diversify:guardedby mu
 	ckptSpent time.Duration //diversify:guardedby mu
 	storePath string        //diversify:guardedby mu
 }
@@ -75,15 +74,19 @@ func (p *Progress) Emit(e Event) {
 		}
 		fmt.Fprintf(p.w, "%s t=%s\n", line, ev.Elapsed.Round(time.Millisecond))
 	case CheckpointWritten:
-		p.ckptPath = ev.Path
 		p.ckptSpent += ev.Duration
 	case WorkerQuarantined:
 		fmt.Fprintf(p.w, "optimize: quarantined replication %d after %d attempts (worker %d): %s\n",
 			ev.Replication, ev.Attempts, ev.Worker, ev.Cause)
 	case StoreWarmStart:
+		if ev.Recovered > 0 {
+			fmt.Fprintf(p.w, "optimize: evaluation log %s: dropped %d torn bytes\n", ev.Path, ev.Recovered)
+		}
 		switch ev.Source {
 		case "checkpoint":
-			fmt.Fprintf(p.w, "optimize: resumed %d evaluations from %s\n", ev.Evaluations, ev.Path)
+			if ev.Evaluations > 0 {
+				fmt.Fprintf(p.w, "optimize: resumed %d evaluations from %s\n", ev.Evaluations, ev.Path)
+			}
 		case "evalstore":
 			p.storePath = ev.Path
 			if p.ticker && ev.Evaluations > 0 {
@@ -91,8 +94,8 @@ func (p *Progress) Emit(e Event) {
 			}
 		}
 	case RunFinished:
-		if ev.Checkpoints > 0 && p.ckptPath != "" {
-			fmt.Fprintf(p.w, "optimize: %d checkpoint snapshots to %s (%v)\n", ev.Checkpoints, p.ckptPath, p.ckptSpent)
+		if ev.Checkpoints > 0 {
+			fmt.Fprintf(p.w, "optimize: %d evaluation log sync(s) (%v)\n", ev.Checkpoints, p.ckptSpent)
 		}
 		if p.storePath != "" {
 			fmt.Fprintf(p.w, "optimize: evaluation store %s: %d hits, %d new measurements\n", p.storePath, ev.StoreHits, ev.StorePuts)

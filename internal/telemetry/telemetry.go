@@ -99,10 +99,10 @@ type EvaluationBatch struct {
 // Kind implements Event.
 func (EvaluationBatch) Kind() string { return "evaluation_batch" }
 
-// CheckpointWritten reports one crash-safe snapshot of the evaluation
-// archive.
+// CheckpointWritten reports one periodic sync of the durable evaluation
+// logs: Evaluations fresh measurements logged so far, Bytes appended
+// across the logs since the previous sync.
 type CheckpointWritten struct {
-	Path        string
 	Evaluations int
 	Bytes       int
 	Duration    time.Duration
@@ -125,14 +125,15 @@ type WorkerQuarantined struct {
 // Kind implements Event.
 func (WorkerQuarantined) Kind() string { return "worker_quarantined" }
 
-// StoreWarmStart reports restorable prior work found at startup: a
-// checkpoint restore (Source "checkpoint") or an opened durable
-// evaluation store (Source "evalstore", Evaluations = measurements
-// already on disk).
+// StoreWarmStart reports a durable evaluation log opened at startup: the
+// checkpoint (Source "checkpoint") or the store (Source "evalstore").
+// Evaluations counts the measurements already on disk; Recovered the
+// torn-tail bytes truncated at open.
 type StoreWarmStart struct {
 	Source      string
 	Path        string
 	Evaluations int
+	Recovered   int
 }
 
 // Kind implements Event.
