@@ -2,10 +2,19 @@
 // time-driven model in the framework (SAN execution, SCADA testbed, worm
 // propagation) runs on.
 //
-// A Sim owns a virtual clock and a pending-event heap. Events scheduled at
-// the same instant fire in scheduling order (FIFO tie-breaking via a
+// A Sim owns a virtual clock and a pending-event queue. Events scheduled
+// at the same instant fire in scheduling order (FIFO tie-breaking via a
 // monotonically increasing sequence number), which keeps runs exactly
 // reproducible for a given seed.
+//
+// The queue is a typed 4-ary min-heap of pointer-free entries
+// {time, seq, arena index}: ordering reads only the entry, sifting moves
+// 24-byte values the garbage collector never scans, and the event slot
+// itself (callback, payload, cancellation flag) is touched once, when the
+// entry is popped. (time, seq) is a total order, so the fire sequence
+// depends on the scheduled events alone, not on the heap's shape.
+// Cancellation is lazy: a cancelled slot stays queued and is skipped when
+// it reaches the head.
 //
 // The package also provides Run, the one replication executor every
 // Monte-Carlo fan-out in the framework goes through (Replicate, the
@@ -36,7 +45,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -61,9 +69,7 @@ type Payload struct {
 // Reset reuse slots while handles issued before the Reset stay inert.
 type Event struct {
 	time      float64
-	seq       uint64
 	epoch     uint64
-	index     int // heap index; -1 when not queued
 	fn        func()
 	pfn       func(Payload) // payload callback (fn and pfn are exclusive)
 	parg      Payload
@@ -123,33 +129,69 @@ func (h Handle) Cancelled() bool {
 	return h.e.cancelled
 }
 
-type eventHeap []*Event
+// qent is one pending-queue entry: the ordering key and the arena index
+// (block*eventArenaSize+slot) of the event it schedules. It holds no
+// pointers, so sifting entries costs no GC write barriers.
+type qent struct {
+	time float64
+	seq  uint64
+	ev   int32
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before is the queue order: earlier time first, scheduling order
+// among equal times.
+func (a qent) before(b qent) bool {
+	return a.time < b.time || a.time == b.time && a.seq < b.seq
+}
+
+// push inserts x into the 4-ary heap, moving the hole up from the tail.
+func (s *Sim) push(x qent) {
+	q := append(s.queue, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = x
+	s.queue = q
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the head entry; the queue must be non-empty.
+// The tail entry refills the hole left at the root, which moves down
+// toward the earliest of its up to four children.
+func (s *Sim) pop() qent {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			first := 4*i + 1
+			if first >= n {
+				break
+			}
+			m := first
+			for j := first + 1; j < first+4 && j < n; j++ {
+				if q[j].before(q[m]) {
+					m = j
+				}
+			}
+			if !q[m].before(x) {
+				break
+			}
+			q[i] = q[m]
+			i = m
+		}
+		q[i] = x
+	}
+	s.queue = q
+	return top
 }
 
 // Sim is a sequential discrete-event simulator. The zero value is ready to
@@ -157,7 +199,7 @@ func (h *eventHeap) Pop() any {
 type Sim struct {
 	now     float64
 	seq     uint64
-	pending eventHeap
+	queue   []qent
 	stopped bool
 	fired   uint64
 	// epoch counts Resets; handles record the epoch they were issued in
@@ -168,7 +210,8 @@ type Sim struct {
 
 // eventArenaSize is the Event allocation block; campaigns fire thousands
 // of events, so batching removes ~all per-event allocations without
-// holding meaningfully more memory for short simulations.
+// holding meaningfully more memory for short simulations. A power of two,
+// so an arena index splits into (block, slot) with a shift and a mask.
 const eventArenaSize = 128
 
 // eventArena batches Event allocations in fixed-size blocks. Blocks are
@@ -184,31 +227,43 @@ type eventArena struct {
 	block, slot int
 }
 
-// next hands out the next slot, growing by one block when the cursor
-// runs past every existing block.
+// next hands out the next slot and its arena index, growing by one block
+// when the cursor runs past every existing block.
 //
 //diversify:hotpath steady-state Reset+run cycles must not allocate; only block growth may
-func (a *eventArena) next() *Event {
+func (a *eventArena) next() (*Event, int32) {
 	if a.block == len(a.blocks) {
 		a.blocks = append(a.blocks, make([]Event, eventArenaSize))
 	}
 	e := &a.blocks[a.block][a.slot]
+	idx := int32(a.block*eventArenaSize + a.slot)
 	a.slot++
 	if a.slot == eventArenaSize {
 		a.block++
 		a.slot = 0
 	}
-	return e
+	return e, idx
+}
+
+// at returns the slot with arena index idx.
+func (a *eventArena) at(idx int32) *Event {
+	return &a.blocks[uint32(idx)/eventArenaSize][uint32(idx)%eventArenaSize]
 }
 
 // rewind restarts the hand-out sequence at the first slot.
 func (a *eventArena) rewind() { a.block, a.slot = 0, 0 }
 
-// newEvent hands out the next arena slot.
+// enqueue fills the next arena slot with ev (stamped with the current
+// epoch), queues it at time ev.time and returns its handle.
 //
 //diversify:hotpath per-event allocation would dominate the Monte-Carlo profile
-func (s *Sim) newEvent() *Event {
-	return s.arena.next()
+func (s *Sim) enqueue(ev Event) Handle {
+	e, idx := s.arena.next()
+	ev.epoch = s.epoch
+	*e = ev
+	s.push(qent{time: ev.time, seq: s.seq, ev: idx})
+	s.seq++
+	return Handle{e: e, epoch: s.epoch}
 }
 
 // NewSim returns a simulator with the clock at zero.
@@ -217,16 +272,17 @@ func NewSim() *Sim { return &Sim{} }
 // Reset returns the simulator to its initial state — clock at zero, no
 // pending events — so it can be reused for another run without
 // reallocating. The epoch counter advances, so Handles issued before the
-// Reset become inert; the pending heap's backing array and the
+// Reset become inert; the pending queue's backing array and the
 // allocation arena (whose slots are now recycled) are retained, making a
-// steady-state Reset+run cycle free of des allocations.
+// steady-state Reset+run cycle free of des allocations. The callbacks of
+// events still pending are released so recycled slots pin nothing.
 func (s *Sim) Reset() {
-	for i := range s.pending {
-		s.pending[i].fn = nil
-		s.pending[i].pfn = nil
-		s.pending[i] = nil
+	for _, q := range s.queue {
+		e := s.arena.at(q.ev)
+		e.fn = nil
+		e.pfn = nil
 	}
-	s.pending = s.pending[:0]
+	s.queue = s.queue[:0]
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
@@ -244,8 +300,8 @@ func (s *Sim) FiredEvents() uint64 { return s.fired }
 // Pending returns the number of events currently scheduled.
 func (s *Sim) Pending() int {
 	n := 0
-	for _, e := range s.pending {
-		if !e.cancelled {
+	for _, q := range s.queue {
+		if !s.arena.at(q.ev).cancelled {
 			n++
 		}
 	}
@@ -267,11 +323,7 @@ func (s *Sim) ScheduleAt(t float64, fn func()) Handle {
 	if t < s.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", t, s.now))
 	}
-	e := s.newEvent()
-	*e = Event{time: t, seq: s.seq, epoch: s.epoch, fn: fn, index: -1}
-	s.seq++
-	heap.Push(&s.pending, e)
-	return Handle{e: e, epoch: s.epoch}
+	return s.enqueue(Event{time: t, fn: fn})
 }
 
 // SchedulePayload enqueues fn(arg) to run after delay units of virtual
@@ -283,11 +335,7 @@ func (s *Sim) SchedulePayload(delay float64, fn func(Payload), arg Payload) Hand
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("des: invalid delay %v", delay))
 	}
-	e := s.newEvent()
-	*e = Event{time: s.now + delay, seq: s.seq, epoch: s.epoch, pfn: fn, parg: arg, index: -1}
-	s.seq++
-	heap.Push(&s.pending, e)
-	return Handle{e: e, epoch: s.epoch}
+	return s.enqueue(Event{time: s.now + delay, pfn: fn, parg: arg})
 }
 
 // Stop halts the current Run after the in-flight event returns.
@@ -296,23 +344,32 @@ func (s *Sim) Stop() { s.stopped = true }
 // Step fires the single earliest pending event. It returns false when no
 // events remain.
 func (s *Sim) Step() bool {
-	for len(s.pending) > 0 {
-		e := heap.Pop(&s.pending).(*Event)
-		if e.cancelled {
-			continue
+	for len(s.queue) > 0 {
+		if s.fireHead() {
+			return true
 		}
-		s.now = e.time
-		s.fired++
-		fn, pfn := e.fn, e.pfn
-		e.fn, e.pfn = nil, nil // release the callback; fired events are inert
-		if pfn != nil {
-			pfn(e.parg)
-		} else {
-			fn()
-		}
-		return true
 	}
 	return false
+}
+
+// fireHead pops the head entry and fires its event, advancing the clock
+// to the entry's time. A cancelled head is discarded and reports false.
+func (s *Sim) fireHead() bool {
+	q := s.pop()
+	e := s.arena.at(q.ev)
+	if e.cancelled {
+		return false
+	}
+	s.now = q.time
+	s.fired++
+	fn, pfn := e.fn, e.pfn
+	e.fn, e.pfn = nil, nil // release the callback; fired events are inert
+	if pfn != nil {
+		pfn(e.parg)
+	} else {
+		fn()
+	}
+	return true
 }
 
 // Run executes events in order until the clock would pass horizon, the
@@ -324,19 +381,15 @@ func (s *Sim) Run(horizon float64) error {
 		return fmt.Errorf("des: NaN horizon: %w", ErrStopped)
 	}
 	s.stopped = false
-	for len(s.pending) > 0 {
+	for len(s.queue) > 0 {
 		if s.stopped {
 			return ErrStopped
 		}
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.time > horizon {
+		if s.peek() > horizon {
 			s.now = horizon
 			return nil
 		}
-		s.Step()
+		s.fireHead()
 	}
 	if s.now < horizon {
 		s.now = horizon
@@ -352,20 +405,15 @@ func (s *Sim) RunUntil(horizon float64, pred func() bool) (bool, error) {
 		return true, nil
 	}
 	s.stopped = false
-	for len(s.pending) > 0 {
+	for len(s.queue) > 0 {
 		if s.stopped {
 			return false, ErrStopped
 		}
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.time > horizon {
+		if s.peek() > horizon {
 			s.now = horizon
 			return false, nil
 		}
-		s.Step()
-		if pred() {
+		if s.fireHead() && pred() {
 			return true, nil
 		}
 	}
@@ -375,18 +423,10 @@ func (s *Sim) RunUntil(horizon float64, pred func() bool) (bool, error) {
 	return false, nil
 }
 
-// peek returns the earliest non-cancelled event without firing it,
-// discarding cancelled ones as it goes.
-func (s *Sim) peek() *Event {
-	for len(s.pending) > 0 {
-		e := s.pending[0]
-		if !e.cancelled {
-			return e
-		}
-		heap.Pop(&s.pending)
-	}
-	return nil
-}
+// peek returns the head entry's time without touching its event; the
+// queue must be non-empty. A cancelled head past the horizon ends a run
+// exactly as a live one would: everything behind it is later still.
+func (s *Sim) peek() float64 { return s.queue[0].time }
 
 // Every schedules fn to run now+period, then every period thereafter, until
 // the returned stop function is called. fn receives the firing time.

@@ -1,8 +1,10 @@
 package des
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -462,12 +464,125 @@ func TestResetRunCycleZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	epoch() // warm-up: grows the arena and the pending heap
+	epoch() // warm-up: grows the arena and the pending queue
 	allocs := testing.AllocsPerRun(10, epoch)
 	if allocs != 0 {
 		t.Fatalf("steady-state Reset+run cycle allocated %.1f times per epoch, want 0", allocs)
 	}
 	if sink == 0 {
 		t.Fatal("events did not fire")
+	}
+}
+
+// TestQueueOrderMatchesReferenceSort drives the queue with random
+// workloads — many tied times, events scheduled and cancelled from
+// inside callbacks, closure and payload events mixed, and a Reset while
+// events are still pending at the start of every trial — and checks the
+// fire order against the specification: exactly the live events up to
+// the horizon fire, in ascending (time, scheduling sequence) order.
+func TestQueueOrderMatchesReferenceSort(t *testing.T) {
+	type ev struct {
+		time             float64
+		fired, cancelled bool
+		h                Handle
+	}
+	r := rng.New(11)
+	s := NewSim()
+	for trial := 0; trial < 300; trial++ {
+		s.Reset() // the previous trial usually left events pending
+		var evs []*ev
+		var order []int
+		var schedule func(delay float64)
+		fire := func(id int) {
+			evs[id].fired = true
+			order = append(order, id)
+			if r.Bool(0.3) {
+				schedule(float64(r.Intn(4)) / 2)
+			}
+			if r.Bool(0.2) {
+				victim := evs[r.Intn(len(evs))]
+				if !victim.fired {
+					victim.cancelled = true
+				}
+				victim.h.Cancel()
+			}
+		}
+		onPayload := func(p Payload) { fire(int(p.Node)) }
+		// The sequence number of an event is its index in evs: Reset
+		// restarts it, and every Schedule call takes the next one.
+		schedule = func(delay float64) {
+			id := len(evs)
+			e := &ev{time: s.Now() + delay}
+			evs = append(evs, e)
+			if id%2 == 0 {
+				e.h = s.Schedule(delay, func() { fire(id) })
+			} else {
+				e.h = s.SchedulePayload(delay, onPayload, Payload{Node: int32(id)})
+			}
+		}
+		for n := 1 + r.Intn(80); n > 0; n-- {
+			schedule(float64(r.Intn(8)) / 2)
+			if r.Bool(0.1) {
+				e := evs[len(evs)-1]
+				e.cancelled = true
+				e.h.Cancel()
+			}
+		}
+		horizon := float64(r.Intn(10)) / 2
+		if err := s.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+
+		var want []int
+		pending := 0
+		for id, e := range evs {
+			switch {
+			case e.cancelled:
+			case e.time <= horizon:
+				want = append(want, id)
+			default:
+				pending++
+			}
+		}
+		slices.SortFunc(want, func(a, b int) int {
+			if c := cmp.Compare(evs[a].time, evs[b].time); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		if !slices.Equal(order, want) {
+			t.Fatalf("trial %d: fire order %v, want %v", trial, order, want)
+		}
+		if got := s.Pending(); got != pending {
+			t.Fatalf("trial %d: Pending = %d, want %d", trial, got, pending)
+		}
+		if got := s.FiredEvents(); got != uint64(len(want)) {
+			t.Fatalf("trial %d: FiredEvents = %d, want %d", trial, got, len(want))
+		}
+	}
+}
+
+// BenchmarkQueueCampaignDepth measures one schedule+fire cycle at the
+// queue depth a saturated grid:200 replication runs at (about 200
+// pending events): every fired event reschedules itself a jittered
+// period later, as a campaign's per-node propagation and beacon loops
+// do, so the depth stays constant. The Sim is Reset every 3,000 events,
+// about one 720 h replication, so the arena recycles as it does under
+// the replication executor.
+func BenchmarkQueueCampaignDepth(b *testing.B) {
+	const depth, perRep = 200, 3000
+	s := NewSim()
+	r := rng.New(1)
+	var tick func(Payload)
+	tick = func(p Payload) { s.SchedulePayload(6*(0.75+0.5*r.Float64()), tick, p) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%perRep == 0 {
+			s.Reset()
+			for n := 0; n < depth; n++ {
+				s.SchedulePayload(r.Float64(), tick, Payload{Node: int32(n)})
+			}
+		}
+		s.Step()
 	}
 }

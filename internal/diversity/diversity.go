@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"diversify/internal/exploits"
@@ -122,13 +123,15 @@ func ProfileOf(t *topology.Topology, a *Assignment, c exploits.Class) Profile {
 func (p Profile) Distinct() int { return len(p.Counts) }
 
 // SimpsonIndex returns 1 − Σ pᵢ² (probability two random nodes differ).
+// The sum runs in variant-ID order: float addition is not associative,
+// so map order would leak into the low bits.
 func (p Profile) SimpsonIndex() float64 {
 	if p.Total == 0 {
 		return 0
 	}
 	s := 0.0
-	for _, c := range p.Counts {
-		q := float64(c) / float64(p.Total)
+	for _, id := range slices.Sorted(maps.Keys(p.Counts)) {
+		q := float64(p.Counts[id]) / float64(p.Total)
 		s += q * q
 	}
 	return 1 - s
@@ -143,27 +146,41 @@ type CostModel struct {
 }
 
 // Cost evaluates the model over the classes present in the topology.
+// Fees are summed in ascending class order, so the same configuration
+// always costs the same bits.
 func (cm CostModel) Cost(t *topology.Topology, a *Assignment) float64 {
-	classes := map[exploits.Class]bool{}
+	classes := make([]exploits.Class, 0, int(exploits.ClassDevice))
 	for _, n := range t.Nodes() {
 		for c := range n.Components {
-			classes[c] = true
+			if !slices.Contains(classes, c) {
+				classes = append(classes, c)
+			}
 		}
 	}
+	slices.Sort(classes)
 	total := 0.0
-	for c := range classes {
+	for _, c := range classes {
 		p := ProfileOf(t, a, c)
 		if d := p.Distinct(); d > 1 {
 			total += float64(d-1) * cm.PlatformCost
 		}
 	}
 	if a != nil {
-		for _, n := range t.Nodes() {
-			for c, def := range n.Components {
-				if v, ok := a.Lookup(n.ID, c); ok && v != def {
-					total += cm.NodeCost
+		nodes := t.Nodes()
+		moved := 0
+		for id, m := range a.overlay {
+			if id < 0 || int(id) >= len(nodes) {
+				continue
+			}
+			for c, v := range m {
+				if def, ok := nodes[id].Components[c]; ok && v != def {
+					moved++
 				}
 			}
+		}
+		// One addition per migrated component, as the fees accrue.
+		for ; moved > 0; moved-- {
+			total += cm.NodeCost
 		}
 	}
 	return total

@@ -127,6 +127,35 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
+// TestCostIndependentOfMapOrder pins the platform-fee sum to ascending
+// class order. With fees 0.7·{1, 2, 4} the three partial sums round
+// differently depending on which class is added first, so a sum taken
+// in map order returns 4.9 on some calls and 4.8999999999999995 on
+// others.
+func TestCostIndependentOfMapOrder(t *testing.T) {
+	os := []exploits.VariantID{exploits.OSWinXPSP2, exploits.OSWin7}
+	plc := []exploits.VariantID{exploits.PLCS7_315, exploits.PLCS7_417, exploits.PLCModicon}
+	proto := []exploits.VariantID{"p0", "p1", "p2", "p3", "p4"}
+	topo := topology.New()
+	for i := 0; i < 5; i++ {
+		topo.AddNode("plc", topology.KindPLC, topology.ZoneField, map[exploits.Class]exploits.VariantID{
+			exploits.ClassOS:          os[i%len(os)],
+			exploits.ClassPLCFirmware: plc[i%len(plc)],
+			exploits.ClassProtocol:    proto[i],
+		})
+	}
+	cm := CostModel{PlatformCost: 0.7}
+	want := 0.0
+	for _, extra := range []float64{1, 2, 4} { // OS, PLCFirmware, Protocol
+		want += extra * cm.PlatformCost
+	}
+	for i := 0; i < 200; i++ {
+		if got := cm.Cost(topo, nil); got != want {
+			t.Fatalf("call %d: cost = %v, want %v (ascending class order)", i, got, want)
+		}
+	}
+}
+
 func TestPlaceRandom(t *testing.T) {
 	topo := testTopo()
 	a := NewAssignment()

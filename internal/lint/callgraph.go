@@ -352,7 +352,7 @@ func collectFunc(prog *Program, cha *chaIndex, pkg *Package, dix *directiveIndex
 	})
 
 	if fi.Decl.Body != nil {
-		checkMapRangeAppends(info, fi.Decl.Body, func(pos token.Pos, format string, args ...any) {
+		checkMapRangeOrder(info, fi.Decl.Body, func(pos token.Pos, format string, args ...any) {
 			addSource(pos, fmt.Sprintf(format, args...))
 		})
 	}

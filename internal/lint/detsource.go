@@ -16,6 +16,8 @@ import (
 // findings unless individually audited with //diversify:allow-nondet.
 var detCritical = map[string]bool{
 	"diversify/internal/des":        true,
+	"diversify/internal/diversity":  true,
+	"diversify/internal/exploits":   true,
 	"diversify/internal/malware":    true,
 	"diversify/internal/rotation":   true,
 	"diversify/internal/rng":        true,
@@ -28,8 +30,9 @@ var detCritical = map[string]bool{
 // packages.
 var DetSource = &Analyzer{
 	Name: "detsource",
-	Doc: "flags wall-clock reads, math/rand globals, select-with-default and " +
-		"order-unstable map iteration in determinism-critical packages",
+	Doc: "flags wall-clock reads, math/rand globals, select-with-default, " +
+		"order-unstable map iteration and float accumulation in map order " +
+		"in determinism-critical packages",
 	Directive: "allow-nondet",
 	Applies:   func(pkgPath string) bool { return detCritical[pkgPath] },
 	Run:       runDetSource,
@@ -83,7 +86,7 @@ func runDetSource(pass *Pass) {
 				}
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					checkMapRangeAppends(pass.Info, n.Body, pass.Reportf)
+					checkMapRangeOrder(pass.Info, n.Body, pass.Reportf)
 				}
 			}
 			return true
@@ -105,18 +108,21 @@ func isRandGlobal(obj types.Object) bool {
 	return p == "math/rand" || p == "math/rand/v2"
 }
 
-// checkMapRangeAppends flags `for ... := range m { out = append(out, ...) }`
+// checkMapRangeOrder flags `for ... := range m { out = append(out, ...) }`
 // where m is a map, out is declared outside the range statement and no
 // later statement in the same function sorts out. Map iteration order
 // is randomized per run, so the appended order leaks into whatever out
 // becomes — a return value, a serialized checkpoint section — unless a
 // sort restores a canonical order (the Entries()-then-SortFunc pattern
-// in internal/diversity is the blessed shape). Index writes and scalar
+// in internal/diversity is the blessed shape). It also flags
+// `x += e` (and -=, *=, /=) on a float or complex x declared outside the
+// range: float arithmetic is not associative, so the low bits of the
+// result depend on the iteration order. Index writes and integer
 // accumulation inside map ranges are order-insensitive and not flagged.
 // Findings go through report so both detsource (per-package) and the
 // call-graph source collector (whole-program) share one definition of
 // "order-unstable map iteration feeding output".
-func checkMapRangeAppends(info *types.Info, body *ast.BlockStmt, report func(token.Pos, string, ...any)) {
+func checkMapRangeOrder(info *types.Info, body *ast.BlockStmt, report func(token.Pos, string, ...any)) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -136,6 +142,10 @@ func checkMapRangeAppends(info *types.Info, body *ast.BlockStmt, report func(tok
 			}
 			asg, ok := inner.(*ast.AssignStmt)
 			if !ok || len(asg.Lhs) != 1 || len(asg.Rhs) != 1 {
+				return true
+			}
+			if floatAccumulation(info, rng, asg) {
+				report(asg.Pos(), "float accumulation %s %s inside map iteration: the sum's low bits depend on the randomized order", types.ExprString(asg.Lhs[0]), asg.Tok)
 				return true
 			}
 			call, ok := asg.Rhs[0].(*ast.CallExpr)
@@ -161,6 +171,26 @@ func checkMapRangeAppends(info *types.Info, body *ast.BlockStmt, report func(tok
 		})
 		return true
 	})
+}
+
+// floatAccumulation reports whether asg is a compound arithmetic
+// assignment to a float or complex variable declared outside rng.
+func floatAccumulation(info *types.Info, rng *ast.RangeStmt, asg *ast.AssignStmt) bool {
+	switch asg.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	default:
+		return false
+	}
+	tv, ok := info.Types[asg.Lhs[0]]
+	if !ok {
+		return false
+	}
+	basic, ok := tv.Type.Underlying().(*types.Basic)
+	if !ok || basic.Info()&(types.IsFloat|types.IsComplex) == 0 {
+		return false
+	}
+	root, _, ok := refPath(info, asg.Lhs[0])
+	return ok && (root.Pos() < rng.Pos() || root.Pos() >= rng.End())
 }
 
 // isAppendCall reports whether call is the builtin append.

@@ -131,3 +131,57 @@ func overChannel(ch chan string) []string {
 	}
 	return out
 }
+
+func floatSum(m map[string]float64) float64 {
+	total := 0.0
+	for _, v := range m {
+		total += v // want "float accumulation total"
+	}
+	return total
+}
+
+type tally struct{ sum float64 }
+
+func (t *tally) scaled(m map[string]float64) {
+	for _, v := range m {
+		t.sum *= v // want "float accumulation t.sum"
+	}
+}
+
+func floatInNested(m map[string][]float64) float64 {
+	total := 0.0
+	for _, vs := range m {
+		for _, v := range vs {
+			total -= v // want "float accumulation total"
+		}
+	}
+	return total
+}
+
+func intSum(m map[string]int) int {
+	total := 0
+	for _, v := range m {
+		total += v // integer addition is associative: not a finding
+	}
+	return total
+}
+
+func loopLocalFloat(m map[string][]float64) []float64 {
+	var out []float64
+	for _, vs := range m {
+		s := 0.0
+		for _, v := range vs {
+			s += v
+		}
+		out = append(out, s) // want "append to out inside map iteration"
+	}
+	return out
+}
+
+func sliceFloatSum(xs []float64) float64 {
+	total := 0.0
+	for _, v := range xs {
+		total += v // slice order is fixed: not a finding
+	}
+	return total
+}
