@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	optimize -topo powergrid -strategy anneal -budget 40 -iterations 300 -seed 7
-//	optimize -strategy genetic -classes OS,Protocol -json
+//	optimize -topo powergrid -budget 40 -seed 7
+//	optimize -strategy pareto -classes OS,Protocol -json
 //	optimize -topo grid:200 -classes PLC,Protocol -reps 8 -iterations 2 -budget 20
 //	optimize -topo grid:200 -strategy pareto -objectives cost,success,detection
 //	optimize -topo grid:100 -screen 200   # greedy, top-200 surrogate screen
@@ -66,12 +66,18 @@ func main() {
 	switch {
 	case err == nil:
 	case errors.As(err, &deg):
-		fmt.Fprintln(os.Stderr, "optimize:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(exitDegraded)
 	default:
-		fmt.Fprintln(os.Stderr, "optimize:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders a failure for stderr under one "optimize:" prefix:
+// errors from the optimize package already carry it.
+func errorLine(err error) string {
+	return "optimize: " + strings.TrimPrefix(err.Error(), "optimize: ")
 }
 
 func run(ctx context.Context, args []string, out, errw io.Writer) error {
@@ -79,7 +85,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	var (
 		topo        = fs.String("topo", "tiered", "topology: tiered, powergrid, or grid:N[:regions] (generated N-substation meshed grid)")
 		threat      = fs.String("threat", "stuxnet", "threat profile: stuxnet, duqu, flame")
-		strategy    = fs.String("strategy", "greedy", "search strategy: greedy, anneal, genetic, portfolio, pareto")
+		strategy    = fs.String("strategy", "greedy", "search strategy: greedy or pareto (NSGA-II front search)")
 		classes     = fs.String("classes", "OS,PLC,Protocol", "comma-separated component classes (OS, PLC, Protocol, HMI, EngTools, Historian)")
 		objective   = fs.String("objective", "success", "minimized indicator: success, ratio, ttsf, foothold")
 		objectives  = fs.String("objectives", "", "Pareto front axes, comma-separated from cost,success,detection,foothold (empty = cost,success,detection)")
@@ -89,8 +95,8 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		budget      = fs.Float64("budget", 40, "diversification budget (cost-model units)")
 		platform    = fs.Float64("platform-cost", 5, "cost per extra distinct variant per class")
 		nodeCost    = fs.Float64("node-cost", 2, "cost per node deviating from the default")
-		iters       = fs.Int("iterations", 0, "search iterations (0 = strategy default)")
-		pop         = fs.Int("pop", 0, "genetic population size (0 = default)")
+		iters       = fs.Int("iterations", 0, "greedy rounds or pareto generations (0 = strategy default)")
+		pop         = fs.Int("pop", 0, "pareto population size (0 = default)")
 		reps        = fs.Int("reps", 64, "Monte-Carlo replications per candidate")
 		horizon     = fs.Float64("horizon", 720, "observation window in hours")
 		seed        = fs.Uint64("seed", 1, "RNG seed (fixes the whole search)")
@@ -184,8 +190,8 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		}
 		return degErr
 	}
-	fmt.Fprintf(out, "topology=%s threat=%s strategy=%s objective=%s budget=%.0f seed=%d reps=%d\n\n",
-		*topo, *threat, res.Strategy, res.Objective, res.Budget, *seed, *reps)
+	fmt.Fprintf(out, "topology=%s threat=%s strategy=%s objective=%s budget=%.0f seed=%d reps=%d horizon=%g\n\n",
+		*topo, *threat, res.Strategy, res.Objective, res.Budget, res.Seed, res.Reps, res.Horizon)
 	fmt.Fprintf(out, "%-18s %-8s %-10s %-10s %-10s %-10s %-10s %-10s %-10s %-8s %-8s\n",
 		"candidate", "cost", "value", "Psuccess", "CRfinal", "TTSFmean", "Pdetect", "DetLatMean", "Foothold", "Rot", "Reinf")
 	row := func(name string, s diversify.OptimizeScore) {

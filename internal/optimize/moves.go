@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"fmt"
 	"slices"
 
 	"diversify/internal/exploits"
@@ -15,9 +14,9 @@ type classVariant struct {
 	variant exploits.VariantID
 }
 
-// moveSpace precomputes the neighborhood structure annealing and the
-// genetic mutator draw moves from: the flat option list, the nodes
-// carrying each class, and the nodes each (class, variant) can go to.
+// moveSpace precomputes the neighborhood structure the NSGA-II mutator
+// draws moves from: the flat option list, the nodes carrying each class,
+// and the nodes each (class, variant) can go to.
 type moveSpace struct {
 	p       *Problem
 	classes []exploits.Class // sorted, classes present in the option space
@@ -54,16 +53,15 @@ func newMoveSpace(p *Problem) *moveSpace {
 	return ms
 }
 
-// mutate applies one random neighbor move to the candidate in place and
-// returns a human-readable description. Moves: upgrade (install a
-// random option), drop (remove a random overlay decision), relocate
-// (move a decision to another eligible node), swap (exchange two nodes'
-// decisions for a class), and — when the problem searches schedules —
-// reschedule (switch the rotation policy, including back to static).
+// mutate applies one random neighbor move to the candidate in place.
+// Moves: upgrade (install a random option), drop (remove a random overlay
+// decision), relocate (move a decision to another eligible node), swap
+// (exchange two nodes' decisions for a class), and — when the problem
+// searches schedules — reschedule (switch the rotation policy, including
+// back to static).
 // Degenerate cases fall back to upgrade so every call mutates.
-func (ms *moveSpace) mutate(c *Candidate, r *rng.Rand) string {
+func (ms *moveSpace) mutate(c *Candidate, r *rng.Rand) {
 	a := c.A
-	nodes := ms.p.Topo.Nodes()
 	nMoves := 4
 	if len(ms.p.Rotations) > 0 {
 		nMoves = 5
@@ -78,7 +76,7 @@ func (ms *moveSpace) mutate(c *Candidate, r *rng.Rand) string {
 			next++
 		}
 		c.Rot = next
-		return "reschedule " + ms.p.rotName(next)
+		return
 	case 1: // drop
 		entries := a.Entries()
 		if len(entries) == 0 {
@@ -86,7 +84,7 @@ func (ms *moveSpace) mutate(c *Candidate, r *rng.Rand) string {
 		}
 		e := entries[r.Intn(len(entries))]
 		a.Unset(e.Node, e.Class)
-		return fmt.Sprintf("drop %s:%s", nodes[e.Node].Name, e.Class)
+		return
 	case 2: // relocate
 		entries := a.Entries()
 		if len(entries) == 0 {
@@ -107,7 +105,7 @@ func (ms *moveSpace) mutate(c *Candidate, r *rng.Rand) string {
 		to := pool[r.Intn(len(pool))]
 		a.Unset(e.Node, e.Class)
 		a.Set(to, e.Class, e.Variant)
-		return fmt.Sprintf("relocate %s %s→%s=%s", e.Class, nodes[e.Node].Name, nodes[to].Name, e.Variant)
+		return
 	case 3: // swap
 		class := ms.classes[r.Intn(len(ms.classes))]
 		carriers := ms.byClass[class]
@@ -131,14 +129,13 @@ func (ms *moveSpace) mutate(c *Candidate, r *rng.Rand) string {
 				} else {
 					a.Unset(n2, class)
 				}
-				return fmt.Sprintf("swap %s %s↔%s", class, nodes[n1].Name, nodes[n2].Name)
+				return
 			}
 		}
 	}
 	// upgrade (case 0 and every fallback)
 	opt := ms.p.Options[r.Intn(len(ms.p.Options))]
 	opt.Apply(a)
-	return fmt.Sprintf("set %s:%s=%s", nodes[opt.Node].Name, opt.Class, opt.Variant)
 }
 
 // repair makes a candidate feasible again after crossover/mutation:

@@ -8,18 +8,15 @@
 // diversifying; this package decides WHERE the scarce resilient variants
 // go — the budget-constrained assignment optimization that Li et al.
 // ("Improving ICS Cyber Resilience through Optimal Diversification of
-// Network Resources") and Laszka et al. formalize. The pluggable
-// strategies share one Optimizer interface: greedy marginal-gain
-// placement (with surrogate screening of large option spaces), simulated
-// annealing over neighbor moves (upgrade / drop / relocate / swap a
-// node's variant), a genetic search with crossover over node-variant
-// overlays, the portfolio chain, and an NSGA-II multi-objective search
-// ("pareto") over the cost × attack-success × detection-speed front.
-// All of them drive a shared Evaluator that
-// fans replications out over a pool of workers with per-worker reusable
-// campaigns and per-replication seeded RNG streams (common random numbers
-// across candidates), memoizing scores by assignment fingerprint so an
-// identical candidate is never re-simulated.
+// Network Resources") and Laszka et al. formalize. Two strategies share
+// one Optimizer interface: greedy marginal-gain placement (with surrogate
+// screening of large option spaces) for the scalar objective, and an
+// NSGA-II multi-objective search ("pareto") over the cost ×
+// attack-success × detection-speed front. Both drive a shared Evaluator
+// that fans replications out over a pool of workers with per-worker
+// reusable campaigns and per-replication seeded RNG streams (common random
+// numbers across candidates), memoizing scores by assignment fingerprint
+// so an identical candidate is never re-simulated.
 //
 // Every search is deterministic for a given (Problem, strategy, Seed)
 // regardless of the worker count.
@@ -196,15 +193,11 @@ type Problem struct {
 	// PlannedCost over the horizon is folded into the candidate cost, so
 	// rotation spend competes with placement spend under one Budget.
 	Rotations []rotation.Spec
-	// BaseRotation selects the starting candidate's schedule as
-	// 1+index into Rotations (0 = static start). The portfolio strategy
-	// uses it to reseed stochastic stages from a rotated incumbent.
-	BaseRotation int
 	// MaxPerZone, when positive, constrains every topology zone to at
 	// most MaxPerZone distinct effective variants per component class —
 	// the fleet-management bound beyond the budget. Enforced in greedy
-	// feasibility, annealing proposals and genetic/NSGA-II repair; the
-	// base configuration must satisfy it.
+	// feasibility and NSGA-II repair; the base configuration must satisfy
+	// it.
 	MaxPerZone int
 	// Horizon is the campaign observation window in hours (0 → 720;
 	// negative, NaN or infinite is an error).
@@ -218,10 +211,10 @@ type Problem struct {
 	// Seed drives every random choice: evaluation streams, strategy
 	// moves, the random-fill comparison baseline.
 	Seed uint64
-	// Iterations bounds the search: annealing proposals, genetic
-	// generations, greedy rounds (0 = strategy default).
+	// Iterations bounds the search: greedy rounds, NSGA-II generations
+	// (0 = strategy default).
 	Iterations int
-	// Population is the genetic population size (0 = default 16;
+	// Population is the NSGA-II population size (0 = default 16;
 	// negative is an error).
 	Population int
 	// FirewallVariant optionally overrides every firewalled link.
@@ -277,8 +270,13 @@ func (p *Problem) validate() error {
 	if !(p.Horizon > 0) || math.IsInf(p.Horizon, 1) {
 		return fmt.Errorf("%w: horizon %v", ErrBadProblem, p.Horizon)
 	}
-	if p.Reps < 0 || p.Workers < 0 || p.Population < 0 {
-		return fmt.Errorf("%w: reps %d, workers %d, population %d must not be negative", ErrBadProblem, p.Reps, p.Workers, p.Population)
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"reps", p.Reps}, {"workers", p.Workers}, {"population", p.Population}} {
+		if f.n < 0 {
+			return fmt.Errorf("%w: %s %d must not be negative", ErrBadProblem, f.name, f.n)
+		}
 	}
 	switch p.Objective {
 	case MinimizeSuccess, MinimizeRatio, MaximizeTTSF, MinimizeFoothold:
@@ -296,9 +294,6 @@ func (p *Problem) validate() error {
 		if err := spec.Validate(); err != nil {
 			return fmt.Errorf("%w: rotation spec %d: %v", ErrBadProblem, i, err)
 		}
-	}
-	if p.BaseRotation < 0 || p.BaseRotation > len(p.Rotations) {
-		return fmt.Errorf("%w: base rotation %d outside [0, %d]", ErrBadProblem, p.BaseRotation, len(p.Rotations))
 	}
 	if p.MaxPerZone < 0 {
 		return fmt.Errorf("%w: MaxPerZone %d", ErrBadProblem, p.MaxPerZone)
@@ -320,9 +315,9 @@ func (p *Problem) base() *diversity.Assignment {
 	return diversity.NewAssignment()
 }
 
-// baseCand returns the starting candidate (placement + schedule).
+// baseCand returns the starting candidate: the base placement, static.
 func (p *Problem) baseCand() Candidate {
-	return Candidate{A: p.base(), Rot: p.BaseRotation - 1}
+	return Candidate{A: p.base(), Rot: -1}
 }
 
 // rotName names a schedule index ("static" for -1).
@@ -424,6 +419,11 @@ type Result struct {
 	Strategy  string  `json:"strategy"`
 	Objective string  `json:"objective"`
 	Budget    float64 `json:"budget"`
+	// Reps, Horizon and Seed echo the normalized problem the run used
+	// (defaults filled in), not the caller's raw request.
+	Reps    int     `json:"reps"`
+	Horizon float64 `json:"horizon"`
+	Seed    uint64  `json:"seed"`
 	// Baseline scores the starting assignment; Random scores a uniform
 	// random feasible fill at the same budget (the PlaceRandom-style
 	// comparison the paper's case study argues against).
@@ -490,22 +490,15 @@ type Optimizer interface {
 	Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.Rand) ([]TraceStep, error)
 }
 
-// ByName returns the named strategy ("greedy", "anneal", "genetic",
-// "portfolio" or "pareto").
+// ByName returns the named strategy ("greedy" or "pareto").
 func ByName(name string) (Optimizer, error) {
 	switch name {
 	case "greedy":
 		return &Greedy{}, nil
-	case "anneal":
-		return &Anneal{}, nil
-	case "genetic":
-		return &Genetic{}, nil
-	case "portfolio":
-		return &Portfolio{}, nil
 	case "pareto":
 		return &Pareto{}, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown strategy %q (want greedy, anneal, genetic, portfolio or pareto)", ErrBadProblem, name)
+		return nil, fmt.Errorf("%w: unknown strategy %q (want greedy or pareto)", ErrBadProblem, name)
 	}
 }
 
@@ -719,6 +712,9 @@ func RunWith(ctx context.Context, p Problem, o Optimizer, opts RunOptions) (*Res
 		Strategy:        o.Name(),
 		Objective:       p.Objective.String(),
 		Budget:          p.Budget,
+		Reps:            p.Reps,
+		Horizon:         p.Horizon,
+		Seed:            p.Seed,
 		Baseline:        baseline,
 		Random:          random,
 		Best:            best,

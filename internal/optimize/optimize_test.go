@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"diversify/internal/diversity"
@@ -34,7 +33,7 @@ func testProblem(seed uint64) Problem {
 func strategies(t *testing.T) []Optimizer {
 	t.Helper()
 	var out []Optimizer
-	for _, name := range []string{"greedy", "anneal", "genetic", "portfolio", "pareto"} {
+	for _, name := range []string{"greedy", "pareto"} {
 		o, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -112,25 +111,19 @@ func TestNeverWorseThanBaseline(t *testing.T) {
 	}
 }
 
-// Annealing and genetic search revisit candidates; the fingerprint cache
-// must convert those into hits (identical candidates are never
-// re-simulated).
+// NSGA-II revisits candidates (elitist survivors, recombined clones);
+// the fingerprint cache must convert those into hits (identical
+// candidates are never re-simulated).
 func TestMemoizationHits(t *testing.T) {
-	for _, name := range []string{"anneal", "genetic"} {
-		o, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(testProblem(3), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.CacheHits == 0 {
-			t.Errorf("%s: expected >0 cache hits, got 0 (misses %d)", name, res.CacheMisses)
-		}
-		if res.Evaluations != res.CacheMisses {
-			t.Errorf("%s: evaluations %d != misses %d", name, res.Evaluations, res.CacheMisses)
-		}
+	res, err := Run(testProblem(3), &Pareto{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHits == 0 {
+		t.Errorf("expected >0 cache hits, got 0 (misses %d)", res.CacheMisses)
+	}
+	if res.Evaluations != res.CacheMisses {
+		t.Errorf("evaluations %d != misses %d", res.Evaluations, res.CacheMisses)
 	}
 }
 
@@ -145,7 +138,7 @@ func pointVec(pt ParetoPoint) []float64 {
 // objectives — for every strategy's archive, not just the pareto
 // search's.
 func TestParetoFrontShape(t *testing.T) {
-	for _, name := range []string{"anneal", "pareto"} {
+	for _, name := range []string{"greedy", "pareto"} {
 		o, _ := ByName(name)
 		p := testProblem(7)
 		res, err := Run(p, o)
@@ -223,20 +216,21 @@ func TestValidation(t *testing.T) {
 
 // normalize fills defaults only for zero values; validate rejects every
 // other out-of-range setting instead of letting it pass as a default (or
-// as NaN).
+// as NaN), naming only the offending field.
 func TestNormalizeRejectsInvalid(t *testing.T) {
 	for name, c := range map[string]struct {
 		mutate func(*Problem)
 		ok     bool
+		msg    string // exact error text, when pinned
 	}{
-		"zero defaults":       {func(p *Problem) { p.Reps, p.Horizon, p.Workers, p.Population = 0, 0, 0, 0 }, true},
-		"negative reps":       {func(p *Problem) { p.Reps = -3 }, false},
-		"negative workers":    {func(p *Problem) { p.Workers = -2 }, false},
-		"negative population": {func(p *Problem) { p.Population = -1 }, false},
-		"negative horizon":    {func(p *Problem) { p.Horizon = -1 }, false},
-		"NaN horizon":         {func(p *Problem) { p.Horizon = math.NaN() }, false},
-		"+Inf horizon":        {func(p *Problem) { p.Horizon = math.Inf(1) }, false},
-		"-Inf horizon":        {func(p *Problem) { p.Horizon = math.Inf(-1) }, false},
+		"zero defaults":       {func(p *Problem) { p.Reps, p.Horizon, p.Workers, p.Population = 0, 0, 0, 0 }, true, ""},
+		"negative reps":       {func(p *Problem) { p.Reps = -3 }, false, "optimize: invalid problem: reps -3 must not be negative"},
+		"negative workers":    {func(p *Problem) { p.Workers = -2 }, false, "optimize: invalid problem: workers -2 must not be negative"},
+		"negative population": {func(p *Problem) { p.Population = -1 }, false, "optimize: invalid problem: population -1 must not be negative"},
+		"negative horizon":    {func(p *Problem) { p.Horizon = -1 }, false, ""},
+		"NaN horizon":         {func(p *Problem) { p.Horizon = math.NaN() }, false, ""},
+		"+Inf horizon":        {func(p *Problem) { p.Horizon = math.Inf(1) }, false, ""},
+		"-Inf horizon":        {func(p *Problem) { p.Horizon = math.Inf(-1) }, false, ""},
 	} {
 		p := testProblem(1)
 		c.mutate(&p)
@@ -247,6 +241,9 @@ func TestNormalizeRejectsInvalid(t *testing.T) {
 		}
 		if err != nil && !errors.Is(err, ErrBadProblem) {
 			t.Errorf("%s: err %v is not ErrBadProblem", name, err)
+		}
+		if c.msg != "" && (err == nil || err.Error() != c.msg) {
+			t.Errorf("%s: validate = %v, want %q", name, err, c.msg)
 		}
 		if c.ok && (p.Reps != 50 || p.Horizon != 720 || p.Population != 16) {
 			t.Errorf("%s: zero fields not defaulted: reps %d horizon %v population %d", name, p.Reps, p.Horizon, p.Population)
@@ -271,85 +268,5 @@ func TestGreedyTraceMonotone(t *testing.T) {
 			t.Errorf("greedy step %d value %.4f did not improve on %.4f", i, step.Value, prev)
 		}
 		prev = step.Value
-	}
-}
-
-// Portfolio chains greedy → anneal → genetic over one shared evaluator;
-// its result can never be worse than running greedy alone on the same
-// problem, and it must stay deterministic across worker counts.
-func TestPortfolioNeverWorseThanGreedy(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		p := testProblem(seed)
-		p.Reps = 4
-		p.Iterations = 10
-		greedy, err := Run(p, &Greedy{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf, err := Run(testProblemLike(p), &Portfolio{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pf.Best.Value > greedy.Best.Value {
-			t.Errorf("seed %d: portfolio best %.4f worse than greedy %.4f",
-				seed, pf.Best.Value, greedy.Best.Value)
-		}
-		if pf.Best.Cost > p.Budget+budgetEps {
-			t.Errorf("seed %d: portfolio best cost %.2f over budget", seed, pf.Best.Cost)
-		}
-	}
-}
-
-// testProblemLike clones a problem value for a second run (Problem is a
-// value type; the copy keeps the same topology and option space).
-func testProblemLike(p Problem) Problem { return p }
-
-// Portfolio is a strategy like any other: registered by name,
-// deterministic trace and winner for a fixed seed.
-func TestPortfolioDeterministic(t *testing.T) {
-	o, err := ByName("portfolio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantTrace, wantFP string
-	for i, workers := range []int{1, 4} {
-		p := testProblem(21)
-		p.Reps = 4
-		p.Iterations = 8
-		p.Workers = workers
-		res, err := Run(p, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace := traceString(res.Trace)
-		fp := fmt.Sprintf("%016x/%+v", res.BestFingerprint, res.Best)
-		if i == 0 {
-			wantTrace, wantFP = trace, fp
-			continue
-		}
-		if trace != wantTrace {
-			t.Fatalf("workers=%d: portfolio trace diverged", workers)
-		}
-		if fp != wantFP {
-			t.Fatalf("workers=%d: portfolio best diverged", workers)
-		}
-	}
-	// The trace must show all three stages ran.
-	res, err := Run(func() Problem { p := testProblem(21); p.Reps = 4; p.Iterations = 8; return p }(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stages := map[string]bool{}
-	for _, s := range res.Trace {
-		for _, prefix := range []string{"greedy: ", "anneal: ", "genetic: "} {
-			if strings.HasPrefix(s.Action, prefix) {
-				stages[prefix] = true
-			}
-		}
-	}
-	for _, prefix := range []string{"greedy: ", "anneal: ", "genetic: "} {
-		if !stages[prefix] {
-			t.Errorf("portfolio trace has no %q steps", prefix)
-		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"diversify/internal/diversity"
 	"diversify/internal/rng"
 )
 
@@ -14,9 +15,9 @@ import (
 // front axes (default cost × attack-success × detection speed, all
 // minimized): fast non-dominated sorting ranks the population into
 // fronts, crowding distance spreads survivors along each front, and
-// binary tournaments on (rank, crowding) select parents for the same
-// crossover / mutation / budget-repair operators the genetic strategy
-// uses. Instead of collapsing the objectives into one scalar it grows
+// binary tournaments on (rank, crowding) select parents for uniform
+// crossover over node-variant overlays, moveSpace mutation and budget
+// repair. Instead of collapsing the objectives into one scalar it grows
 // the archive toward the whole trade-off surface; Run then extracts the
 // deduplicated non-dominated front from everything evaluated.
 //
@@ -25,28 +26,29 @@ import (
 // the shared cache, so nothing is wasted) and its incumbent prefixes —
 // cheap early rounds through the full greedy spend — give the first
 // generation a cost-spread spine of known-good placements instead of
-// uniform noise. RandomInit restores the pre-seeding behavior for
-// comparison.
+// uniform noise.
 //
 // Iterations is the generation count, Population the population size.
 // Every comparison is tie-broken by candidate fingerprint, so the
 // search — and the front it leaves behind — is deterministic for a
 // given seed regardless of the worker count.
 type Pareto struct {
-	// MutProb is the per-child mutation probability (default 0.45 —
-	// higher than Genetic's because diversity along the front matters
-	// more than convergence to a single optimum).
-	MutProb float64
-	// TournamentK is the selection tournament size (default 2, the
-	// NSGA-II standard binary tournament).
-	TournamentK int
-	// SeedRounds bounds the greedy trajectory used to seed the
-	// population (default 4 rounds, capped at Population-1).
-	SeedRounds int
-	// RandomInit seeds the population with random fills instead of the
-	// greedy trajectory (the pre-seeding behavior, kept for comparison).
-	RandomInit bool
+	// randomInit seeds the population with random fills instead of the
+	// greedy trajectory (the pre-seeding behavior, kept as the seeding
+	// tests' reference).
+	randomInit bool
 }
+
+// NSGA-II tuning: the per-child mutation probability (high, because
+// diversity along the front matters more than convergence to a single
+// optimum), the selection tournament size (the standard binary
+// tournament) and the greedy rounds that seed the population (fewer than
+// the minimum population of 8, so the seeds always fit).
+const (
+	paretoMutProb     = 0.45
+	paretoTournamentK = 2
+	paretoSeedRounds  = 4
+)
 
 // Name implements Optimizer.
 func (*Pareto) Name() string { return "pareto" }
@@ -71,14 +73,6 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 	if popSize < 8 {
 		popSize = 8
 	}
-	mutProb := pt.MutProb
-	if mutProb <= 0 || mutProb > 1 {
-		mutProb = 0.45
-	}
-	tk := pt.TournamentK
-	if tk <= 1 {
-		tk = 2
-	}
 	ms := newMoveSpace(p)
 	score := func(members []Candidate) ([]pind, error) {
 		out := make([]pind, len(members))
@@ -92,18 +86,11 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 		return out, nil
 	}
 	// Seed population: the base candidate, then the screened-greedy
-	// trajectory prefixes (unless RandomInit), then random feasible fills
+	// trajectory prefixes (unless randomInit), then random feasible fills
 	// of varying intensity for whatever slots remain.
 	members := make([]Candidate, 0, popSize)
 	members = append(members, p.baseCand())
-	if !pt.RandomInit {
-		rounds := pt.SeedRounds
-		if rounds <= 0 {
-			rounds = 4
-		}
-		if rounds > popSize-1 {
-			rounds = popSize - 1
-		}
+	if !pt.randomInit {
 		// The seeding pass runs under a screen clamped to a few times the
 		// population size: enough surrogate-top options per round to lay a
 		// known-good spine, without the full greedy search's per-round
@@ -112,7 +99,7 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 		if clamp := 4 * popSize; seedP.ScreenTop <= 0 || seedP.ScreenTop > clamp {
 			seedP.ScreenTop = clamp
 		}
-		_, incumbents, err := greedySearch(ctx, &seedP, ev, rounds)
+		_, incumbents, err := greedySearch(ctx, &seedP, ev, paretoSeedRounds)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +125,7 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 		ev.noteRound("pareto", &trace[len(trace)-1], front)
 		tournament := func() pind {
 			best := r.Intn(len(pop))
-			for i := 1; i < tk; i++ {
+			for i := 1; i < paretoTournamentK; i++ {
 				c := r.Intn(len(pop))
 				if pindLess(rank, crowd, pop, c, best) {
 					best = c
@@ -152,7 +139,7 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 		for len(children) < popSize {
 			p1, p2 := tournament(), tournament()
 			child := crossover(p1.c, p2.c, r)
-			if r.Bool(mutProb) {
+			if r.Bool(paretoMutProb) {
 				ms.mutate(&child, r)
 			}
 			ms.repair(&child, ev, r)
@@ -334,4 +321,71 @@ func selectSurvivors(axes []Axis, pool []pind, popSize int) []pind {
 		out[i] = uniq[idx[i]]
 	}
 	return out
+}
+
+// randomCandidate builds one random feasible fill: a burst of random
+// options over the base placement, paired with a uniformly drawn
+// schedule (including "static") when the problem has a rotation
+// dimension. Callers repair the result back under the constraints.
+func randomCandidate(p *Problem, r *rng.Rand) Candidate {
+	c := Candidate{A: p.base(), Rot: -1}
+	k := 1 + r.Intn(max(1, len(p.Options)/3))
+	for j := 0; j < k; j++ {
+		p.Options[r.Intn(len(p.Options))].Apply(c.A)
+	}
+	if len(p.Rotations) > 0 {
+		c.Rot = r.Intn(len(p.Rotations)+1) - 1
+	}
+	return c
+}
+
+// crossover recombines two candidates: overlays uniformly — for every
+// (node, class) decided by either parent, the child inherits one
+// parent's state, including "absent" (topology default) — and the
+// schedule from a fair-coin parent. Keys are visited in canonical order
+// so recombination is deterministic.
+func crossover(ca, cb Candidate, r *rng.Rand) Candidate {
+	a, b := ca.A, cb.A
+	child := diversity.NewAssignment()
+	ea, eb := a.Entries(), b.Entries()
+	i, j := 0, 0
+	take := func(e diversity.Entry, from *diversity.Assignment) {
+		if v, ok := from.Lookup(e.Node, e.Class); ok {
+			child.Set(e.Node, e.Class, v)
+		}
+	}
+	for i < len(ea) || j < len(eb) {
+		var e diversity.Entry
+		switch {
+		case j >= len(eb):
+			e = ea[i]
+			i++
+		case i >= len(ea):
+			e = eb[j]
+			j++
+		default:
+			switch c := cmp.Compare(ea[i].Node, eb[j].Node); {
+			case c < 0 || (c == 0 && ea[i].Class < eb[j].Class):
+				e = ea[i]
+				i++
+			case c > 0 || (c == 0 && ea[i].Class > eb[j].Class):
+				e = eb[j]
+				j++
+			default: // same (node, class) in both parents
+				e = ea[i]
+				i++
+				j++
+			}
+		}
+		if r.Bool(0.5) {
+			take(e, a)
+		} else {
+			take(e, b)
+		}
+	}
+	rot := ca.Rot
+	if r.Bool(0.5) {
+		rot = cb.Rot
+	}
+	return Candidate{A: child, Rot: rot}
 }

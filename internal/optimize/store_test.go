@@ -58,11 +58,11 @@ func TestStoreWarmStartAcrossBudgetTweak(t *testing.T) {
 	}
 	tweaked := testProblem(53)
 	tweaked.Budget = 18
-	cold, err := Run(testProblemLike(tweaked), o)
+	cold, err := Run(tweaked, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunWith(context.Background(), testProblemLike(tweaked), o, RunOptions{StorePath: store})
+	warm, err := RunWith(context.Background(), tweaked, o, RunOptions{StorePath: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestStoreWarmStartAcrossObjectiveTweak(t *testing.T) {
 	}
 	tweaked := testProblem(55)
 	tweaked.Objective = MaximizeTTSF
-	cold, err := Run(testProblemLike(tweaked), o)
+	cold, err := Run(tweaked, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunWith(context.Background(), testProblemLike(tweaked), o, RunOptions{StorePath: store})
+	warm, err := RunWith(context.Background(), tweaked, o, RunOptions{StorePath: store})
 	if err != nil {
 		t.Fatal(err)
 	}

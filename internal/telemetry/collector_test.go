@@ -8,45 +8,46 @@ import (
 	"time"
 )
 
-// A synthetic portfolio-shaped stream: the collector must attribute
+// A synthetic pareto-shaped stream (greedy seeding rounds, then an
+// NSGA-II generation): the collector must attribute
 // rounds and wall time per strategy, derive the ratios from the
 // authoritative RunFinished totals, and keep the registry current.
 func TestCollectorReport(t *testing.T) {
 	reg := NewRegistry()
 	c := NewCollector(reg)
-	c.Emit(RunStarted{Strategy: "portfolio", Workers: 4, Options: 30})
+	c.Emit(RunStarted{Strategy: "pareto", Workers: 4, Options: 30})
 	c.Emit(StoreWarmStart{Source: "checkpoint", Path: "run.ckpt", Evaluations: 5})
 	c.Emit(StoreWarmStart{Source: "evalstore", Path: "evals.store", Evaluations: 100})
 	c.Emit(RoundCompleted{Strategy: "greedy", Round: 0, Incumbent: 0.5, Elapsed: 100 * time.Millisecond})
 	c.Emit(RoundCompleted{Strategy: "greedy", Round: 1, Incumbent: 0.4, Elapsed: 250 * time.Millisecond})
-	c.Emit(RoundCompleted{Strategy: "anneal", Round: 0, Incumbent: 0.4, Elapsed: 400 * time.Millisecond})
+	c.Emit(RoundCompleted{Strategy: "pareto", Round: 0, Incumbent: 0.4, Elapsed: 400 * time.Millisecond})
 	c.Emit(EvaluationBatch{Duration: 10 * time.Millisecond, Replications: 4})
 	c.Emit(EvaluationBatch{Duration: 30 * time.Millisecond, Replications: 4})
 	c.Emit(EvaluationBatch{FromStore: true})
 	c.Emit(CheckpointWritten{Evaluations: 32, Bytes: 2048, Duration: time.Millisecond})
 	c.Emit(WorkerQuarantined{Worker: 1, Replication: 3, Attempts: 3, Cause: "boom"})
 	c.Emit(RunFinished{
-		Strategy: "portfolio", Best: 0.4, Evaluations: 40, CacheHits: 60,
+		Strategy: "pareto", Best: 0.4, Evaluations: 40, CacheHits: 60,
 		StoreHits: 3, StorePuts: 37, Replications: 160,
 		Retries: 2, Quarantined: 1, Checkpoints: 1,
 		Elapsed: 500 * time.Millisecond,
 	})
 
 	r := c.Report()
-	if r.Strategy != "portfolio" || r.Best != 0.4 {
+	if r.Strategy != "pareto" || r.Best != 0.4 {
 		t.Fatalf("header: %+v", r)
 	}
-	if r.Rounds != 3 || r.StrategyRounds["greedy"] != 2 || r.StrategyRounds["anneal"] != 1 {
+	if r.Rounds != 3 || r.StrategyRounds["greedy"] != 2 || r.StrategyRounds["pareto"] != 1 {
 		t.Fatalf("round attribution: rounds=%d per-strategy=%v", r.Rounds, r.StrategyRounds)
 	}
-	// Wall time: greedy is billed 100ms + 150ms, anneal 150ms.
+	// Wall time: greedy is billed 100ms + 150ms, pareto 150ms.
 	if got := r.StrategyWallSeconds["greedy"]; math.Abs(got-0.25) > 1e-9 {
 		t.Fatalf("greedy wall = %v, want 0.25", got)
 	}
-	if got := r.StrategyWallSeconds["anneal"]; math.Abs(got-0.15) > 1e-9 {
-		t.Fatalf("anneal wall = %v, want 0.15", got)
+	if got := r.StrategyWallSeconds["pareto"]; math.Abs(got-0.15) > 1e-9 {
+		t.Fatalf("pareto wall = %v, want 0.15", got)
 	}
-	if got := []string{"anneal", "greedy"}; r.Strategies()[0] != got[0] || r.Strategies()[1] != got[1] {
+	if got := []string{"greedy", "pareto"}; r.Strategies()[0] != got[0] || r.Strategies()[1] != got[1] {
 		t.Fatalf("Strategies() = %v", r.Strategies())
 	}
 	// Ratios derive from RunFinished: 60 hits over 100 lookups; 3 log
@@ -80,7 +81,7 @@ func TestCollectorReport(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		`diversify_rounds_total{strategy="greedy"} 2`,
-		`diversify_rounds_total{strategy="anneal"} 1`,
+		`diversify_rounds_total{strategy="pareto"} 1`,
 		"diversify_quarantined_total 1",
 		"diversify_checkpoints_total 1",
 		"diversify_best_value 0.4",

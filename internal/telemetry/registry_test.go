@@ -54,7 +54,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`diversify_rounds_total{strategy="greedy"}`, "completed rounds").Add(7)
-	reg.Counter(`diversify_rounds_total{strategy="anneal"}`, "completed rounds").Add(3)
+	reg.Counter(`diversify_rounds_total{strategy="pareto"}`, "completed rounds").Add(3)
 	reg.Gauge("diversify_best_value", "best objective value").Set(0.125)
 	h := reg.Histogram("diversify_eval_latency_seconds", "eval latency", []float64{0.01, 0.1})
 	h.Observe(0.005)
@@ -69,7 +69,7 @@ func TestPrometheusExposition(t *testing.T) {
 		"# HELP diversify_rounds_total completed rounds\n",
 		"# TYPE diversify_rounds_total counter\n",
 		`diversify_rounds_total{strategy="greedy"} 7` + "\n",
-		`diversify_rounds_total{strategy="anneal"} 3` + "\n",
+		`diversify_rounds_total{strategy="pareto"} 3` + "\n",
 		"# TYPE diversify_best_value gauge\n",
 		"diversify_best_value 0.125\n",
 		"# TYPE diversify_eval_latency_seconds histogram\n",

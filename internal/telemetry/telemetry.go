@@ -46,13 +46,13 @@ type RunStarted struct {
 // Kind implements Event.
 func (RunStarted) Kind() string { return "run_started" }
 
-// RoundCompleted reports one completed search round (a greedy round, an
-// annealing proposal, a genetic/NSGA-II generation). It mirrors the
+// RoundCompleted reports one completed search round (a greedy round or
+// an NSGA-II generation). It mirrors the
 // deterministic trace step, plus the monotonic elapsed time — which is
 // deliberately OUTSIDE the byte-identity surface.
 type RoundCompleted struct {
-	// Strategy names the emitting stage ("greedy", "anneal", ...); under
-	// the portfolio chain each stage reports under its own name.
+	// Strategy names the emitting stage ("greedy" or "pareto"); pareto's
+	// greedy-seeding rounds report under "greedy".
 	Strategy string
 	Round    int
 	Action   string

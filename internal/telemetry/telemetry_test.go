@@ -111,20 +111,20 @@ func TestProgressTickerRateLimit(t *testing.T) {
 	p := NewProgress(&sb, true)
 	clock := time.Unix(0, 0)
 	p.now = func() time.Time { return clock }
-	p.Emit(RunStarted{Strategy: "anneal", Objective: "min P(success)", Options: 10, Reps: 4, Workers: 2, Budget: 30})
+	p.Emit(RunStarted{Strategy: "pareto", Objective: "min P(success)", Options: 10, Reps: 4, Workers: 2, Budget: 30})
 	// First round always prints (first incumbent); the next two rounds do
 	// not improve and land inside the interval, so they are suppressed;
 	// an improvement prints regardless of the interval.
-	p.Emit(RoundCompleted{Strategy: "anneal", Round: 0, Incumbent: 0.5, Value: 0.5})
-	p.Emit(RoundCompleted{Strategy: "anneal", Round: 1, Incumbent: 0.5, Value: 0.9})
-	p.Emit(RoundCompleted{Strategy: "anneal", Round: 2, Incumbent: 0.5, Value: 0.8})
-	p.Emit(RoundCompleted{Strategy: "anneal", Round: 3, Incumbent: 0.4, Value: 0.4})
+	p.Emit(RoundCompleted{Strategy: "pareto", Round: 0, Incumbent: 0.5, Value: 0.5})
+	p.Emit(RoundCompleted{Strategy: "pareto", Round: 1, Incumbent: 0.5, Value: 0.9})
+	p.Emit(RoundCompleted{Strategy: "pareto", Round: 2, Incumbent: 0.5, Value: 0.8})
+	p.Emit(RoundCompleted{Strategy: "pareto", Round: 3, Incumbent: 0.4, Value: 0.4})
 	// After the interval passes a steady-state round prints again.
 	clock = clock.Add(time.Second)
-	p.Emit(RoundCompleted{Strategy: "anneal", Round: 4, Incumbent: 0.4, Value: 0.7})
-	p.Emit(RunFinished{Strategy: "anneal", Best: 0.4, Evaluations: 5})
+	p.Emit(RoundCompleted{Strategy: "pareto", Round: 4, Incumbent: 0.4, Value: 0.7})
+	p.Emit(RunFinished{Strategy: "pareto", Best: 0.4, Evaluations: 5})
 	out := sb.String()
-	for _, want := range []string{"round 0", "round 3", "round 4", "anneal] done"} {
+	for _, want := range []string{"round 0", "round 3", "round 4", "pareto] done"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing ticker line %q in:\n%s", want, out)
 		}
