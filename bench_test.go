@@ -1,5 +1,5 @@
-// Benchmark harness: one bench per reproduced experiment (E1–E12, see
-// DESIGN.md §4 and EXPERIMENTS.md) plus engine micro-benchmarks. Each
+// Benchmark harness: one bench per reproduced experiment (E1–E13, see
+// the internal/experiments package doc) plus engine micro-benchmarks. Each
 // experiment bench regenerates its table at reduced replication counts
 // and reports the headline figures via b.ReportMetric, so
 //

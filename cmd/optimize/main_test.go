@@ -122,6 +122,12 @@ func TestErrorLine(t *testing.T) {
 	}{
 		{[]string{"-reps", "-3"}, "optimize: invalid problem: reps -3 must not be negative"},
 		{[]string{"-pop", "-1"}, "optimize: invalid problem: population -1 must not be negative"},
+		{[]string{"-iterations", "-5"}, "optimize: invalid problem: iterations -5 must not be negative"},
+		{[]string{"-platform-cost", "NaN"}, "optimize: invalid problem: platform cost NaN must be finite and not negative"},
+		{[]string{"-platform-cost", "-3"}, "optimize: invalid problem: platform cost -3 must be finite and not negative"},
+		{[]string{"-node-cost", "-1"}, "optimize: invalid problem: node cost -1 must be finite and not negative"},
+		{[]string{"-rotate", "periodic:Inf"}, "optimize: rotation: invalid spec: period +Inf is not a finite number of hours >= 0.01667"},
+		{[]string{"-objectives", "cost,cost"}, `optimize: invalid problem: objective axis "cost" repeated`},
 		{[]string{"-strategy", "foo"}, `optimize: invalid problem: unknown strategy "foo" (want greedy or pareto)`},
 	} {
 		err := run(t.Context(), c.args, io.Discard, io.Discard)

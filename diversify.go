@@ -260,8 +260,8 @@ type OptimizeConfig struct {
 	// fleet-management constraint beyond the budget).
 	MaxPerZone int
 	// Budget caps the cost model; PlatformCost prices each extra distinct
-	// variant per class (default 5), NodeCost each deviating node
-	// (default 2).
+	// variant per class (0 → 5), NodeCost each deviating node (0 → 2).
+	// A negative or non-finite fee is an error.
 	Budget       float64
 	PlatformCost float64
 	NodeCost     float64
@@ -436,10 +436,10 @@ func OptimizeContext(ctx context.Context, cfg OptimizeConfig) (*OptimizeResult, 
 		rotations = append(rotations, spec)
 	}
 	platform, node := cfg.PlatformCost, cfg.NodeCost
-	if platform <= 0 {
+	if platform == 0 {
 		platform = 5
 	}
-	if node <= 0 {
+	if node == 0 {
 		node = 2
 	}
 	return optimize.RunWith(ctx, optimize.Problem{

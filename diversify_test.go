@@ -2,7 +2,11 @@ package diversify
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
+
+	"diversify/internal/exploits"
 )
 
 func TestNewStuxnetStudyValidation(t *testing.T) {
@@ -108,6 +112,8 @@ func TestOptimizeRejectsInvalidInput(t *testing.T) {
 		"infinite horizon":       func(c *OptimizeConfig) { c.HorizonHours = math.Inf(1) },
 		"negative workers":       func(c *OptimizeConfig) { c.Workers = -2 },
 		"negative population":    func(c *OptimizeConfig) { c.Population = -1 },
+		"negative platform cost": func(c *OptimizeConfig) { c.PlatformCost = -3 },
+		"NaN node cost":          func(c *OptimizeConfig) { c.NodeCost = math.NaN() },
 		"more regions than subs": func(c *OptimizeConfig) { c.Topology = "grid:3:9" },
 	} {
 		cfg := valid
@@ -154,4 +160,36 @@ func TestOptimizeFacade(t *testing.T) {
 			t.Fatalf("config %+v: expected error", bad)
 		}
 	}
+}
+
+// Any selector either fails to build or yields a topology whose
+// components all resolve in the catalog and whose build is
+// reproducible (two builds share a fingerprint).
+func FuzzBuildTopology(f *testing.F) {
+	for _, sel := range []string{
+		"", "tiered", "powergrid", "grid:40", "grid:60", "grid:9:3", "grid:3:9",
+		"grid:", "grid:0", "grid:-5", "grid:abc", "grid:10:0", "grid:10:x",
+	} {
+		f.Add(sel)
+	}
+	cat := exploits.StuxnetCatalog()
+	f.Fuzz(func(t *testing.T, sel string) {
+		if rest, ok := strings.CutPrefix(sel, "grid:"); ok {
+			subs, _, _ := strings.Cut(rest, ":")
+			if n, err := strconv.Atoi(subs); err == nil && n > 300 {
+				t.Skip("large grids cost seconds per build")
+			}
+		}
+		topo, err := BuildTopology(sel)
+		if err != nil {
+			return
+		}
+		if err := topo.ValidateComponents(cat); err != nil {
+			t.Fatalf("%q: %v", sel, err)
+		}
+		again, err := BuildTopology(sel)
+		if err != nil || again.Fingerprint() != topo.Fingerprint() {
+			t.Fatalf("%q: rebuild differs (%v)", sel, err)
+		}
+	})
 }

@@ -13,7 +13,7 @@
 //   - the epoch-tagged des arena (steady-state replications recycle every
 //     event slot — a grid replication runs in tens of microseconds);
 //
-//   - replication-level batching across the worker pool;
+//   - replication-level fan-out across the worker pool;
 //
 //   - the memoizing evaluator (identical candidates are never re-simulated).
 //

@@ -27,13 +27,14 @@
 //     the worker count or on which worker claims which replication.
 //     Streams derives the seed vector Replicate uses: successive
 //     SplitSeed draws of one root generator.
-//   - Batching. Workers claim contiguous index ranges of
-//     len(seeds)/(workers·4) replications (at least one) from a shared
-//     atomic cursor: few enough claims that dispatch is negligible, enough
-//     slack to balance replications of very different lengths.
+//   - Claims. Workers claim one replication at a time from a shared
+//     atomic cursor, so replications of very different lengths never
+//     leave a worker idle behind a long one while work remains; a claim
+//     costs one atomic add, negligible beside a replication.
 //   - Cancellation. A worker checks the context before every claim; once
-//     it is done (or another worker has failed) no further batch is
-//     claimed, in-flight replications drain, and Run returns ctx.Err().
+//     it is done (or another worker has failed) no further replication
+//     is claimed, in-flight replications drain, and Run returns
+//     ctx.Err().
 //   - Panics. A panicking replication is recovered and replayed on the
 //     same stream after a 1 ms·2^k backoff, up to three attempts; the
 //     body must treat any state it held when the panic struck as

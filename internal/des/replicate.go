@@ -38,9 +38,6 @@ const (
 	retryBackoff = time.Millisecond
 )
 
-// batchFactor targets this many batch claims per worker.
-const batchFactor = 4
-
 // Workers returns how many goroutines Run uses for n replications when
 // asked for workers (<= 0 selects GOMAXPROCS; never more than n), so
 // callers can size per-worker state to match.
@@ -70,24 +67,14 @@ func Streams(seed uint64, n int) []uint64 {
 // returns how many panicked attempts were replayed and the first
 // failure: ctx.Err() if the context ended, else the lowest-indexed
 // replication's error or *RepPanic. That index is deterministic for
-// deterministic bodies: the cursor hands out indices in order and a
-// claimed batch runs until its own worker fails, so every replication
-// below a failing one runs.
-func Run(ctx context.Context, seeds []uint64, workers int, body func(w, rep int, r *rng.Rand) error) (retries int, err error) {
-	return run(ctx, seeds, workers, 0, body)
-}
-
-// run is Run with the batch size exposed (<= 0 selects the default), so
-// tests can pin that batching never changes a result.
-func run(ctx context.Context, seeds []uint64, workers, batch int, body func(w, rep int, r *rng.Rand) error) (int, error) {
+// deterministic bodies: the cursor hands out indices in order, so every
+// replication below a failing one has been claimed and runs.
+func Run(ctx context.Context, seeds []uint64, workers int, body func(w, rep int, r *rng.Rand) error) (int, error) {
 	n := len(seeds)
 	if n == 0 {
 		return 0, ctx.Err()
 	}
 	workers = Workers(n, workers)
-	if batch <= 0 {
-		batch = max(1, n/(workers*batchFactor))
-	}
 	var (
 		cursor  atomic.Int64
 		failed  atomic.Bool
@@ -104,19 +91,16 @@ func run(ctx context.Context, seeds []uint64, workers, batch int, body func(w, r
 			defer wg.Done()
 			r := rng.New(0)
 			for !failed.Load() && ctx.Err() == nil {
-				hi := int(cursor.Add(int64(batch)))
-				lo := hi - batch
-				if lo >= n {
+				rep := int(cursor.Add(1)) - 1
+				if rep >= n {
 					return
 				}
-				for rep := lo; rep < min(hi, n); rep++ {
-					k, err := attempt(w, rep, seeds[rep], r, body)
-					retried.Add(int64(k))
-					if err != nil {
-						fails[w], failRep[w] = err, rep
-						failed.Store(true)
-						return
-					}
+				k, err := attempt(w, rep, seeds[rep], r, body)
+				retried.Add(int64(k))
+				if err != nil {
+					fails[w], failRep[w] = err, rep
+					failed.Store(true)
+					return
 				}
 			}
 		}(w)

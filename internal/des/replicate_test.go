@@ -13,11 +13,11 @@ import (
 const reps = 37
 
 // draws runs reps replications that each record their first eight
-// draws, under the given worker count and batch size.
-func draws(t *testing.T, workers, batch int) [reps][8]uint64 {
+// draws, under the given worker count.
+func draws(t *testing.T, workers int) [reps][8]uint64 {
 	t.Helper()
 	var out [reps][8]uint64
-	_, err := run(context.Background(), Streams(11, reps), workers, batch, func(_, rep int, r *rng.Rand) error {
+	_, err := Run(context.Background(), Streams(11, reps), workers, func(_, rep int, r *rng.Rand) error {
 		for i := range out[rep] {
 			out[rep][i] = r.Uint64()
 		}
@@ -29,25 +29,23 @@ func draws(t *testing.T, workers, batch int) [reps][8]uint64 {
 	return out
 }
 
-// Which worker claims which batch is a scheduling detail: every worker
-// count and batch size yields the same per-replication draws.
+// Which worker claims which replication is a scheduling detail: every
+// worker count yields the same per-replication draws.
 func TestRunWorkerBatchInvariant(t *testing.T) {
-	want := draws(t, 1, 1)
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, batch := range []int{1, 3, 0} {
-			if got := draws(t, workers, batch); got != want {
-				t.Fatalf("workers=%d batch=%d: draws diverged", workers, batch)
-			}
+	want := draws(t, 1)
+	for _, workers := range []int{2, 3, 8} {
+		if got := draws(t, workers); got != want {
+			t.Fatalf("workers=%d: draws diverged", workers)
 		}
 	}
 }
 
 // A cancelled context ends the fan-out at the next claim: Run returns
-// ctx.Err() and no replication of a later batch starts.
+// ctx.Err() and no later replication starts.
 func TestRunCancelStopsClaiming(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, err := run(ctx, Streams(1, 40), 1, 4, func(_, rep int, _ *rng.Rand) error {
+	_, err := Run(ctx, Streams(1, 40), 1, func(_, rep int, _ *rng.Rand) error {
 		ran.Add(1)
 		if rep == 5 {
 			cancel()
@@ -57,10 +55,9 @@ func TestRunCancelStopsClaiming(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Replication 5 sits in the batch [4, 8), which drains; [8, 12) is
-	// never claimed.
-	if got := ran.Load(); got != 8 {
-		t.Fatalf("%d replications ran, want 8 (the cancelling batch drains, no further claim)", got)
+	// Replications 0–5 ran; 6 is never claimed.
+	if got := ran.Load(); got != 6 {
+		t.Fatalf("%d replications ran, want 6 (the cancelling replication finishes, no further claim)", got)
 	}
 	if _, err := Run(ctx, Streams(1, 4), 2, func(int, int, *rng.Rand) error {
 		t.Error("replication ran under a dead context")

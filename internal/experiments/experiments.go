@@ -1,12 +1,15 @@
-// Package experiments implements the reproduction suite E1–E13 defined in
-// DESIGN.md: one function per experiment, each returning a formatted
-// table. The cmd/diversify driver prints them; bench_test.go regenerates
-// them under `go test -bench`; EXPERIMENTS.md records reference output.
+// Package experiments implements the reproduction suite E1–E13: one
+// function per experiment, each returning a formatted table. The
+// cmd/diversify driver prints them; bench_test.go regenerates them under
+// `go test -bench`; testdata/*.golden pins the seeded E2, E4 and E8
+// tables as reference output.
 //
 // The paper is a position paper with no data tables, so this suite
 // reproduces every quantitative statement in its text (the §I worked
 // example, the three §II indicators, the DoE/ANOVA steps and the case
-// study's placement claim) plus the ablations DESIGN.md calls out.
+// study's placement claim) plus extensions and ablations: threat
+// models (E8), protocol dialects (E10), modeling-choice sensitivity
+// (E11), cross-formalism checks (E12) and the cost frontier (E13).
 package experiments
 
 import (

@@ -13,7 +13,7 @@ import (
 )
 
 // E11Sensitivity checks that the repository's conclusions survive its two
-// main modeling choices (DESIGN.md §5):
+// main modeling choices:
 //
 //	Part A — calibration sensitivity: the E7 headline (strategic k=2
 //	  placement collapses PSA) is re-measured with every exploit

@@ -134,7 +134,7 @@ func newEvaluator(p *Problem) (*Evaluator, error) {
 	}
 	// Fail fast on an unusable campaign template.
 	pool, err := malware.NewPool(malware.Config{
-		Topo: p.Topo, Catalog: p.Catalog, Profile: p.Profile, FirewallVariant: p.FirewallVariant,
+		Topo: p.Topo, Catalog: p.Catalog, Profile: p.Profile,
 	}, w)
 	if err != nil {
 		return nil, err
@@ -227,10 +227,7 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 		s.Value = e.value(s)
 		e.storeHits++
 		if e.sink != nil {
-			e.sink.Emit(telemetry.EvaluationBatch{
-				Fingerprint: fp, FromStore: true,
-				Evaluations: e.misses, CacheHits: e.hits, StoreHits: e.storeHits,
-			})
+			e.sink.Emit(telemetry.EvaluationBatch{Fingerprint: fp, FromStore: true})
 		}
 	} else {
 		// The batch timer exists only when a sink does: the disabled path
@@ -257,8 +254,7 @@ func (e *Evaluator) Score(c Candidate) (Score, error) {
 			if e.sink != nil {
 				e.sink.Emit(telemetry.EvaluationBatch{
 					Fingerprint: fp, Replications: e.p.Reps,
-					Duration:    sinceWall(batchStart),
-					Evaluations: e.misses, CacheHits: e.hits, StoreHits: e.storeHits,
+					Duration: sinceWall(batchStart),
 				})
 			}
 		}

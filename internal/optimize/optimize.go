@@ -137,7 +137,7 @@ func (a Axis) of(s Score) float64 {
 }
 
 // ParseAxes resolves front-axis names ("cost", "success", "detection").
-// An empty list selects the full 3-D front.
+// An empty list selects the full 3-D front; a repeated name is an error.
 func ParseAxes(names []string) ([]Axis, error) {
 	if len(names) == 0 {
 		return DefaultAxes(), nil
@@ -155,6 +155,9 @@ func ParseAxes(names []string) ([]Axis, error) {
 			out = append(out, AxisFoothold)
 		default:
 			return nil, fmt.Errorf("%w: unknown objective axis %q (want cost, success, detection or foothold)", ErrBadProblem, n)
+		}
+		if slices.Contains(out[:len(out)-1], out[len(out)-1]) {
+			return nil, fmt.Errorf("%w: objective axis %q repeated", ErrBadProblem, n)
 		}
 	}
 	return out, nil
@@ -212,13 +215,11 @@ type Problem struct {
 	// moves, the random-fill comparison baseline.
 	Seed uint64
 	// Iterations bounds the search: greedy rounds, NSGA-II generations
-	// (0 = strategy default).
+	// (0 = strategy default; negative is an error).
 	Iterations int
 	// Population is the NSGA-II population size (0 = default 16;
 	// negative is an error).
 	Population int
-	// FirewallVariant optionally overrides every firewalled link.
-	FirewallVariant exploits.VariantID
 	// TraceSample, when positive, captures causal attack traces for this
 	// fraction of replications (deterministically sampled per Seed) while
 	// replaying the baseline and winning candidates after the search, and
@@ -267,13 +268,21 @@ func (p *Problem) validate() error {
 	if p.Budget < 0 || math.IsNaN(p.Budget) {
 		return fmt.Errorf("%w: budget %v", ErrBadProblem, p.Budget)
 	}
+	for _, f := range []struct {
+		name string
+		fee  float64
+	}{{"platform cost", p.Cost.PlatformCost}, {"node cost", p.Cost.NodeCost}} {
+		if !(f.fee >= 0) || math.IsInf(f.fee, 1) {
+			return fmt.Errorf("%w: %s %v must be finite and not negative", ErrBadProblem, f.name, f.fee)
+		}
+	}
 	if !(p.Horizon > 0) || math.IsInf(p.Horizon, 1) {
 		return fmt.Errorf("%w: horizon %v", ErrBadProblem, p.Horizon)
 	}
 	for _, f := range []struct {
 		name string
 		n    int
-	}{{"reps", p.Reps}, {"workers", p.Workers}, {"population", p.Population}} {
+	}{{"reps", p.Reps}, {"workers", p.Workers}, {"iterations", p.Iterations}, {"population", p.Population}} {
 		if f.n < 0 {
 			return fmt.Errorf("%w: %s %d must not be negative", ErrBadProblem, f.name, f.n)
 		}
@@ -330,8 +339,8 @@ func (p *Problem) rotName(rot int) string {
 
 // Score is one evaluated candidate's measurements. Every field is a
 // pure function of the assignment (common random numbers, aggregation
-// in replication order), so scores are identical for every worker count
-// and batch size.
+// in replication order), so scores are identical for every worker
+// count.
 type Score struct {
 	// Value is the minimized scalar under the problem objective.
 	Value float64 `json:"value"`
@@ -399,7 +408,7 @@ type Decision struct {
 // front (cost × attack-success × detection speed under the problem's
 // Axes). Points are deduplicated by objective vector and sorted
 // lexicographically by it (then fingerprint), so the front is stable
-// byte for byte across runs, worker counts and batch sizes.
+// byte for byte across runs and worker counts.
 type ParetoPoint struct {
 	Cost           float64    `json:"cost"`
 	Value          float64    `json:"value"`

@@ -223,10 +223,17 @@ func TestNormalizeRejectsInvalid(t *testing.T) {
 		ok     bool
 		msg    string // exact error text, when pinned
 	}{
-		"zero defaults":       {func(p *Problem) { p.Reps, p.Horizon, p.Workers, p.Population = 0, 0, 0, 0 }, true, ""},
+		"zero defaults": {func(p *Problem) {
+			p.Reps, p.Horizon, p.Workers, p.Population, p.Iterations = 0, 0, 0, 0, 0
+			p.Cost.PlatformCost, p.Cost.NodeCost = 0, 0 // free fees are valid
+		}, true, ""},
 		"negative reps":       {func(p *Problem) { p.Reps = -3 }, false, "optimize: invalid problem: reps -3 must not be negative"},
 		"negative workers":    {func(p *Problem) { p.Workers = -2 }, false, "optimize: invalid problem: workers -2 must not be negative"},
 		"negative population": {func(p *Problem) { p.Population = -1 }, false, "optimize: invalid problem: population -1 must not be negative"},
+		"negative iterations": {func(p *Problem) { p.Iterations = -5 }, false, "optimize: invalid problem: iterations -5 must not be negative"},
+		"NaN platform cost":   {func(p *Problem) { p.Cost.PlatformCost = math.NaN() }, false, "optimize: invalid problem: platform cost NaN must be finite and not negative"},
+		"+Inf platform cost":  {func(p *Problem) { p.Cost.PlatformCost = math.Inf(1) }, false, ""},
+		"negative node cost":  {func(p *Problem) { p.Cost.NodeCost = -1 }, false, "optimize: invalid problem: node cost -1 must be finite and not negative"},
 		"negative horizon":    {func(p *Problem) { p.Horizon = -1 }, false, ""},
 		"NaN horizon":         {func(p *Problem) { p.Horizon = math.NaN() }, false, ""},
 		"+Inf horizon":        {func(p *Problem) { p.Horizon = math.Inf(1) }, false, ""},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"diversify/internal/diversity"
@@ -55,8 +56,7 @@ func TestParetoPointsNonDominatedInArchive(t *testing.T) {
 }
 
 // Property (b): the front — points, ordering, decisions — is
-// byte-identical across worker counts (and therefore batch sizes, which
-// are derived from them).
+// byte-identical across worker counts.
 func TestParetoFrontIdenticalAcrossWorkers(t *testing.T) {
 	o, _ := ByName("pareto")
 	var want string
@@ -139,7 +139,8 @@ func TestParetoStrategyFindsTradeoffs(t *testing.T) {
 	}
 }
 
-// ParseAxes maps names, rejects junk, and defaults to the 3-D front.
+// ParseAxes maps names, rejects junk and repeats, and defaults to the
+// 3-D front.
 func TestParseAxes(t *testing.T) {
 	axes, err := ParseAxes(nil)
 	if err != nil || len(axes) != 3 {
@@ -152,6 +153,39 @@ func TestParseAxes(t *testing.T) {
 	if _, err := ParseAxes([]string{"entropy"}); err == nil {
 		t.Fatal("unknown axis accepted")
 	}
+	if _, err := ParseAxes([]string{"cost", "success", "cost"}); err == nil {
+		t.Fatal("repeated axis accepted")
+	}
+}
+
+// Any comma-separated list either fails to parse or names known axes,
+// each once.
+func FuzzParseAxes(f *testing.F) {
+	for _, s := range []string{"", "cost,success", "cost,success,detection,foothold", "entropy", "cost,cost"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var names []string
+		if s != "" {
+			names = strings.Split(s, ",")
+		}
+		axes, err := ParseAxes(names)
+		if err != nil {
+			return
+		}
+		seen := map[Axis]bool{}
+		for _, a := range axes {
+			switch a {
+			case AxisCost, AxisSuccess, AxisDetection, AxisFoothold:
+			default:
+				t.Fatalf("%q: unknown axis %d", s, a)
+			}
+			if seen[a] {
+				t.Fatalf("%q: axis %d repeated in %v", s, a, axes)
+			}
+			seen[a] = true
+		}
+	})
 }
 
 // dominates/compareVec are the dominance bedrock; pin their semantics.

@@ -16,12 +16,12 @@ const syncEvery = 32
 // evalSpecDigest hashes everything OUTSIDE the candidate that shapes an
 // evaluation's raw measurements: the exploit catalog, the threat
 // profile, the horizon, the replication count and seed (the common
-// random number streams) and the firewall override. The topology is
-// deliberately left out (it is its own key word), and so are the cost
-// model, budget, objective, axes and search knobs — those shape what
-// the optimizer does with measurements, not the measurements themselves,
-// which is exactly why a re-optimization under a tweaked budget or
-// objective can warm-start from the store.
+// random number streams). The topology is deliberately left out (it
+// is its own key word), and so are the cost model, budget, objective,
+// axes and search knobs — those shape what the optimizer does with
+// measurements, not the measurements themselves, which is exactly why a
+// re-optimization under a tweaked budget or objective can warm-start
+// from the store.
 func evalSpecDigest(p *Problem) uint64 {
 	d := newDigester()
 	d.str("diversify/evalspec/v1")
@@ -30,7 +30,9 @@ func evalSpecDigest(p *Problem) uint64 {
 	d.f64(p.Horizon)
 	d.i64(int64(p.Reps))
 	d.u64(p.Seed)
-	d.str(string(p.FirewallVariant))
+	// The slot of a retired firewall override, always empty: hashing it
+	// keeps the digest, and so existing logs, unchanged.
+	d.str("")
 	return d.sum()
 }
 

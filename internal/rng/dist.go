@@ -1,9 +1,6 @@
 package rng
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dist is a univariate distribution that models and samples activity
 // durations (and other nonnegative quantities) in the stochastic models.
@@ -12,8 +9,6 @@ import (
 type Dist interface {
 	// Sample draws one value using r as the entropy source.
 	Sample(r *Rand) float64
-	// Mean returns the distribution's expected value.
-	Mean() float64
 	// String describes the distribution (used in traces and reports).
 	String() string
 }
@@ -29,57 +24,7 @@ var _ Dist = Exponential{}
 // Sample draws an exponential variate.
 func (d Exponential) Sample(r *Rand) float64 { return r.Exp(d.Rate) }
 
-// Mean returns 1/Rate.
-func (d Exponential) Mean() float64 { return 1 / d.Rate }
-
 func (d Exponential) String() string { return fmt.Sprintf("Exp(rate=%g)", d.Rate) }
-
-// Uniform is a uniform distribution on [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-var _ Dist = Uniform{}
-
-// Sample draws a uniform variate in [Lo, Hi). It panics when Hi < Lo or
-// either bound is NaN — consistent with the other distributions, which
-// reject invalid parameters instead of silently returning out-of-range
-// draws. A degenerate interval (Hi == Lo) deterministically returns Lo.
-func (d Uniform) Sample(r *Rand) float64 {
-	if !(d.Lo <= d.Hi) {
-		panic(fmt.Sprintf("rng: Uniform requires Lo <= Hi, got [%g, %g)", d.Lo, d.Hi))
-	}
-	return d.Lo + (d.Hi-d.Lo)*r.Float64()
-}
-
-// Mean returns the midpoint of the interval.
-func (d Uniform) Mean() float64 { return (d.Lo + d.Hi) / 2 }
-
-func (d Uniform) String() string { return fmt.Sprintf("U(%g,%g)", d.Lo, d.Hi) }
-
-// Normal is a normal distribution truncated at zero when sampling durations
-// would otherwise go negative (samples below zero are clamped to zero, a
-// pragmatic convention for latency modeling).
-type Normal struct {
-	Mu, Sigma float64
-}
-
-var _ Dist = Normal{}
-
-// Sample draws a normal variate clamped to be nonnegative.
-func (d Normal) Sample(r *Rand) float64 {
-	v := r.Normal(d.Mu, d.Sigma)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Mean returns Mu (the un-truncated mean; callers keep Mu >> Sigma for
-// duration models, where truncation bias is negligible).
-func (d Normal) Mean() float64 { return d.Mu }
-
-func (d Normal) String() string { return fmt.Sprintf("N(%g,%g)", d.Mu, d.Sigma) }
 
 // LogNormal is a log-normal distribution parameterized by the mean Mu and
 // standard deviation Sigma of the underlying normal.
@@ -92,47 +37,7 @@ var _ Dist = LogNormal{}
 // Sample draws a log-normal variate.
 func (d LogNormal) Sample(r *Rand) float64 { return r.LogNormal(d.Mu, d.Sigma) }
 
-// Mean returns exp(Mu + Sigma^2/2).
-func (d LogNormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
-
 func (d LogNormal) String() string { return fmt.Sprintf("LogN(%g,%g)", d.Mu, d.Sigma) }
-
-// Weibull is a Weibull distribution with Shape and Scale parameters.
-// Shape < 1 models decreasing hazard (early exploit discovery), Shape > 1
-// models wear-out-like hazard (attacker learning effects).
-type Weibull struct {
-	Shape, Scale float64
-}
-
-var _ Dist = Weibull{}
-
-// Sample draws a Weibull variate.
-func (d Weibull) Sample(r *Rand) float64 { return r.Weibull(d.Shape, d.Scale) }
-
-// Mean returns Scale * Gamma(1 + 1/Shape).
-func (d Weibull) Mean() float64 {
-	lg, _ := math.Lgamma(1 + 1/d.Shape)
-	return d.Scale * math.Exp(lg)
-}
-
-func (d Weibull) String() string { return fmt.Sprintf("Weibull(k=%g,λ=%g)", d.Shape, d.Scale) }
-
-// Triangular is a triangular distribution on [Lo, Hi] with the given Mode.
-type Triangular struct {
-	Lo, Mode, Hi float64
-}
-
-var _ Dist = Triangular{}
-
-// Sample draws a triangular variate.
-func (d Triangular) Sample(r *Rand) float64 { return r.Triangular(d.Lo, d.Mode, d.Hi) }
-
-// Mean returns (Lo + Mode + Hi) / 3.
-func (d Triangular) Mean() float64 { return (d.Lo + d.Mode + d.Hi) / 3 }
-
-func (d Triangular) String() string {
-	return fmt.Sprintf("Tri(%g,%g,%g)", d.Lo, d.Mode, d.Hi)
-}
 
 // Deterministic always yields Value. Useful for fixed delays (PLC scan
 // cycles, polling periods) and for making tests exact.
@@ -145,42 +50,4 @@ var _ Dist = Deterministic{}
 // Sample returns Value without consuming entropy.
 func (d Deterministic) Sample(*Rand) float64 { return d.Value }
 
-// Mean returns Value.
-func (d Deterministic) Mean() float64 { return d.Value }
-
 func (d Deterministic) String() string { return fmt.Sprintf("Det(%g)", d.Value) }
-
-// Erlang is the sum of K independent exponential stages, each with Rate.
-// It models multi-step stage latencies with lower variance than a single
-// exponential.
-type Erlang struct {
-	K    int
-	Rate float64
-}
-
-var _ Dist = Erlang{}
-
-// Sample draws an Erlang variate.
-func (d Erlang) Sample(r *Rand) float64 { return r.Erlang(d.K, d.Rate) }
-
-// Mean returns K/Rate.
-func (d Erlang) Mean() float64 { return float64(d.K) / d.Rate }
-
-func (d Erlang) String() string { return fmt.Sprintf("Erlang(k=%d,rate=%g)", d.K, d.Rate) }
-
-// Scaled wraps a distribution and multiplies every sample (and the mean) by
-// Factor. The sensitivity harness uses it to stress-test calibrations.
-type Scaled struct {
-	Base   Dist
-	Factor float64
-}
-
-var _ Dist = Scaled{}
-
-// Sample draws from Base and scales the result.
-func (d Scaled) Sample(r *Rand) float64 { return d.Factor * d.Base.Sample(r) }
-
-// Mean returns Factor times the base mean.
-func (d Scaled) Mean() float64 { return d.Factor * d.Base.Mean() }
-
-func (d Scaled) String() string { return fmt.Sprintf("%g*%s", d.Factor, d.Base) }

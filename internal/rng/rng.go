@@ -206,38 +206,3 @@ func (r *Rand) Normal(mu, sigma float64) float64 {
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
-
-// Weibull returns a Weibull-distributed value with the given shape and
-// scale parameters. It panics if either parameter is non-positive.
-func (r *Rand) Weibull(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("rng: Weibull requires positive shape and scale")
-	}
-	u := r.Float64()
-	return scale * math.Pow(-math.Log(1-u), 1/shape)
-}
-
-// Triangular samples a triangular distribution on [lo, hi] with mode.
-func (r *Rand) Triangular(lo, mode, hi float64) float64 {
-	if !(lo <= mode && mode <= hi) || lo >= hi {
-		panic("rng: Triangular requires lo <= mode <= hi and lo < hi")
-	}
-	u := r.Float64()
-	fc := (mode - lo) / (hi - lo)
-	if u < fc {
-		return lo + math.Sqrt(u*(hi-lo)*(mode-lo))
-	}
-	return hi - math.Sqrt((1-u)*(hi-lo)*(hi-mode))
-}
-
-// Erlang returns the sum of k independent Exp(rate) samples.
-func (r *Rand) Erlang(k int, rate float64) float64 {
-	if k <= 0 || rate <= 0 {
-		panic("rng: Erlang requires k > 0 and rate > 0")
-	}
-	sum := 0.0
-	for i := 0; i < k; i++ {
-		sum += r.Exp(rate)
-	}
-	return sum
-}

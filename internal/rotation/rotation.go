@@ -19,14 +19,16 @@
 //	Adaptive  — budget-aware: rotates the most critical nodes first,
 //	            speeds its clock up while detections accumulate, backs
 //	            off when the network is quiet, and stops for good when
-//	            its rotation budget is exhausted.
+//	            it has spent its planned rotation cost.
+//
+// Every schedule rotates the OS class, one cost unit per rotated node.
 //
 // Candidates are ordered by the shared structural screening surrogate
 // (malware.CriticalityScores), so reactive policies evict the attacker
 // from choke points first. Every engine draw comes from its own
 // per-replication seeded stream (Start mixes the replication seed with
 // the spec fingerprint), which keeps outcomes byte-identical across
-// worker counts and batch sizes and decorrelated from attack sampling.
+// worker counts and decorrelated from attack sampling.
 package rotation
 
 import (
@@ -57,8 +59,8 @@ const (
 	// Triggered polls every Period hours and rotates only when the
 	// perceived detection count grew since the last poll.
 	Triggered
-	// Adaptive rotates the highest-criticality nodes first under a
-	// rotation budget, halving its interval (floor Period/4) while
+	// Adaptive rotates the highest-criticality nodes first under its
+	// planned rotation cost, halving its interval (floor Period/4) while
 	// detections accumulate and stretching it (cap Period*4) when quiet.
 	Adaptive
 )
@@ -77,7 +79,8 @@ func (k Kind) String() string {
 }
 
 // Spec is one immutable rotation schedule. The zero value is invalid;
-// fill at least Kind and call Validate (ParseSpec and the optimizer do).
+// fill at least Kind and Period and call Validate (ParseSpec and the
+// optimizer do).
 type Spec struct {
 	Kind Kind
 	// Period is the base interval in hours between rotation waves
@@ -90,33 +93,17 @@ type Spec struct {
 	// node is cured immediately and unattackable until the window ends
 	// (default 0 = instant).
 	Downtime float64
-	// CostPerRotation prices one node rotation in cost-model units
-	// (default 1). The schedule's PlannedCost folds into the placement
-	// budget; the realized spend is reported per replication.
-	CostPerRotation float64
-	// Budget caps the realized rotation spend per replication for the
-	// Adaptive policy; 0 defaults the cap to the base-rate spend over the
-	// horizon (PlannedCost), so adaptive overclock bursts borrow from its
-	// quiet stretches instead of exceeding the planned figure. Other
-	// policies ignore it (their wave count is already period-bounded).
-	Budget float64
-	// Classes are the rotated component classes (default: OS only).
-	Classes []exploits.Class
-	// Seed decorrelates this schedule's draws from other schedules
-	// evaluated under the same replication streams.
-	Seed uint64
 }
 
-// withDefaults returns the spec with defaulted knobs filled in.
+// minPeriod is the shortest accepted Period in hours (one minute): a
+// shorter one schedules so many ticks per replication that a run never
+// ends, and a subnormal one overflows PlannedCost.
+const minPeriod = 1.0 / 60
+
+// withDefaults returns the spec with a defaulted Batch filled in.
 func (s Spec) withDefaults() Spec {
 	if s.Batch <= 0 {
 		s.Batch = 1
-	}
-	if s.CostPerRotation <= 0 {
-		s.CostPerRotation = 1
-	}
-	if len(s.Classes) == 0 {
-		s.Classes = []exploits.Class{exploits.ClassOS}
 	}
 	return s
 }
@@ -128,20 +115,14 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrBadSpec, int(s.Kind))
 	}
-	if s.Period <= 0 || math.IsNaN(s.Period) {
-		return fmt.Errorf("%w: period %v", ErrBadSpec, s.Period)
+	if !(s.Period >= minPeriod) || math.IsInf(s.Period, 1) {
+		return fmt.Errorf("%w: period %v is not a finite number of hours >= %.4g", ErrBadSpec, s.Period, minPeriod)
 	}
 	if s.Batch < 0 {
 		return fmt.Errorf("%w: batch %d", ErrBadSpec, s.Batch)
 	}
-	if s.Downtime < 0 || math.IsNaN(s.Downtime) {
-		return fmt.Errorf("%w: downtime %v", ErrBadSpec, s.Downtime)
-	}
-	if s.CostPerRotation < 0 || math.IsNaN(s.CostPerRotation) {
-		return fmt.Errorf("%w: cost per rotation %v", ErrBadSpec, s.CostPerRotation)
-	}
-	if s.Budget < 0 || math.IsNaN(s.Budget) {
-		return fmt.Errorf("%w: budget %v", ErrBadSpec, s.Budget)
+	if !(s.Downtime >= 0) || math.IsInf(s.Downtime, 1) {
+		return fmt.Errorf("%w: downtime %v is not a finite number of hours >= 0", ErrBadSpec, s.Downtime)
 	}
 	return nil
 }
@@ -159,9 +140,8 @@ func (s Spec) Name() string {
 
 // ParseSpec parses a CLI schedule selector: "kind", "kind:period" or
 // "kind:periodxbatch" — e.g. "triggered", "periodic:24",
-// "triggered:48x2". An omitted period defaults to 48 hours. Knobs
-// beyond kind, period and batch keep their defaults (set them through
-// the Spec API).
+// "triggered:48x2". An omitted period defaults to 48 hours and Downtime
+// to 0 (set it through the Spec API).
 func ParseSpec(sel string) (Spec, error) {
 	kindStr, rest, hasRest := strings.Cut(sel, ":")
 	var spec Spec
@@ -203,30 +183,27 @@ func ParseSpec(sel string) (Spec, error) {
 }
 
 // PlannedCost is the deterministic rotation spend ceiling over one
-// replication horizon — the number the placement optimizer folds into
-// its budget, computable without simulating anything. Periodic and
-// Triggered price every possible wave at the base period (Triggered
-// conservatively assumes each poll fires). Adaptive prices the base
-// rate too — its engine enforces exactly this figure as its default
-// spend cap, so overclocked bursts borrow from quiet stretches — unless
-// an explicit Budget caps it lower.
+// replication horizon, at one cost unit per rotated node — the number
+// the placement optimizer folds into its budget, computable without
+// simulating anything. Every policy prices each possible wave at the
+// base period (Triggered conservatively assumes each poll fires).
+// Adaptive's engine enforces exactly this figure as its spend cap, so
+// its overclocked bursts borrow from its quiet stretches.
 func (s Spec) PlannedCost(horizon float64) float64 {
 	s = s.withDefaults()
 	if horizon <= 0 {
 		return 0
 	}
-	waves := math.Floor(horizon / s.Period)
-	cost := waves * float64(s.Batch) * s.CostPerRotation
-	if s.Kind == Adaptive && s.Budget > 0 && s.Budget < cost {
-		cost = s.Budget
-	}
-	return cost
+	return math.Floor(horizon/s.Period) * float64(s.Batch)
 }
 
 // Fingerprint returns a deterministic 64-bit digest of the schedule,
 // mixed into candidate fingerprints by the optimizer (so one placement
 // paired with two schedules caches as two candidates) and into the
-// engine's per-replication seed.
+// engine's per-replication seed. The constants after Downtime stand for
+// knobs that no longer vary (cost per rotation 1, no explicit budget,
+// the OS class, seed 0); they keep every fingerprint, and so every
+// stored evaluation and rotation stream, unchanged.
 func (s Spec) Fingerprint() uint64 {
 	s = s.withDefaults()
 	h := uint64(fnvOffset)
@@ -240,12 +217,10 @@ func (s Spec) Fingerprint() uint64 {
 	mix(math.Float64bits(s.Period))
 	mix(uint64(s.Batch))
 	mix(math.Float64bits(s.Downtime))
-	mix(math.Float64bits(s.CostPerRotation))
-	mix(math.Float64bits(s.Budget))
-	for _, c := range s.Classes {
-		mix(uint64(c))
-	}
-	mix(s.Seed)
+	mix(math.Float64bits(1))
+	mix(0)
+	mix(uint64(exploits.ClassOS))
+	mix(0)
 	return h
 }
 
@@ -271,8 +246,8 @@ type Engine struct {
 	// nodes is the candidate set ordered by criticality descending (the
 	// order reactive policies evict in; Periodic round-robins over it).
 	nodes []target
-	// pools[i] lists the catalog variants of Classes[i], sorted by ID.
-	pools [][]exploits.VariantID
+	// pool lists the catalog's OS variants, sorted by ID.
+	pool []exploits.VariantID
 	// lastRot[i] is the last virtual time nodes[i] rotated (reactive
 	// policies enforce a Period cool-down per node).
 	lastRot []float64
@@ -286,29 +261,26 @@ type Engine struct {
 }
 
 // NewEngine prepares an engine for one (spec, plant, threat) triple:
-// candidates are the nodes that carry at least one rotated class,
-// ordered by the structural surrogate. Unlike the placement optimizer —
-// which excludes corporate PCs because hardening the attacker's entry
-// machines is not a defense the paper considers — rotation includes
-// them: reimaging an office PC is the cheapest eviction there is, and
-// the dynamic-diversity studies rotate the whole host population. All
-// allocation happens here; Start and Tick are allocation-free.
+// candidates are the nodes that carry an OS, ordered by the structural
+// surrogate. Unlike the placement optimizer — which excludes corporate
+// PCs because hardening the attacker's entry machines is not a defense
+// the paper considers — rotation includes them: reimaging an office PC
+// is the cheapest eviction there is, and the dynamic-diversity studies
+// rotate the whole host population. All allocation happens here; Start
+// and Tick are allocation-free.
 func NewEngine(spec Spec, topo *topology.Topology, cat *exploits.Catalog, profile malware.Profile) (*Engine, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{spec: spec, specFP: spec.Fingerprint()}
-	for _, class := range spec.Classes {
-		variants := cat.VariantsOf(class)
-		if len(variants) < 2 {
-			return nil, fmt.Errorf("%w: catalog has %d variant(s) of %v — nothing to rotate to", ErrBadSpec, len(variants), class)
-		}
-		pool := make([]exploits.VariantID, len(variants))
-		for i, v := range variants {
-			pool[i] = v.ID
-		}
-		e.pools = append(e.pools, pool)
+	variants := cat.VariantsOf(exploits.ClassOS)
+	if len(variants) < 2 {
+		return nil, fmt.Errorf("%w: catalog has %d variant(s) of %v — nothing to rotate to", ErrBadSpec, len(variants), exploits.ClassOS)
+	}
+	e.pool = make([]exploits.VariantID, len(variants))
+	for i, v := range variants {
+		e.pool[i] = v.ID
 	}
 	crit := malware.CriticalityScores(topo, profile)
 	// Entry nodes get a strong ordering bonus: they are where infected
@@ -320,14 +292,7 @@ func NewEngine(spec Spec, topo *topology.Topology, cat *exploits.Catalog, profil
 		entry[k] = true
 	}
 	for _, n := range topo.Nodes() {
-		carries := false
-		for _, class := range spec.Classes {
-			if _, ok := n.Components[class]; ok {
-				carries = true
-				break
-			}
-		}
-		if carries {
+		if _, ok := n.Components[exploits.ClassOS]; ok {
 			score := crit[n.ID]
 			if entry[n.Kind] {
 				score += 2
@@ -336,7 +301,7 @@ func NewEngine(spec Spec, topo *topology.Topology, cat *exploits.Catalog, profil
 		}
 	}
 	if len(e.nodes) == 0 {
-		return nil, fmt.Errorf("%w: no node carries any of the rotated classes", ErrBadSpec)
+		return nil, fmt.Errorf("%w: no node carries an OS", ErrBadSpec)
 	}
 	slices.SortFunc(e.nodes, func(a, b target) int {
 		if c := cmp.Compare(b.score, a.score); c != 0 {
@@ -358,8 +323,8 @@ func (e *Engine) Start(rc malware.RotationControl, seed uint64) {
 	e.period = e.spec.Period
 	e.budget = 0
 	if e.spec.Kind == Adaptive {
-		// The enforced cap matches PlannedCost exactly: the explicit
-		// Budget, or the base-rate spend over this replication's horizon.
+		// The enforced cap matches PlannedCost exactly: the base-rate
+		// spend over this replication's horizon.
 		e.budget = e.spec.PlannedCost(rc.Horizon())
 	}
 	for i := range e.lastRot {
@@ -391,7 +356,7 @@ func (e *Engine) Tick(rc malware.RotationControl) {
 			e.period = math.Min(e.spec.Period*4, e.period*1.5)
 		}
 		e.rotateBatch(rc, now)
-		if e.budget > 0 && e.budget-e.spent < e.spec.CostPerRotation {
+		if e.budget > 0 && e.budget-e.spent < 1 {
 			return // budget exhausted for good: stop ticking
 		}
 		rc.ScheduleTick(e.period)
@@ -399,9 +364,9 @@ func (e *Engine) Tick(rc malware.RotationControl) {
 }
 
 // rotateBatch rotates up to Batch candidate nodes at time now. Nodes
-// whose classes are all placement-pinned are skipped (their attempt
-// still starts a cool-down, so reactive policies do not stall on them);
-// the scan gives up after one pass over the candidate set.
+// whose OS is placement-pinned are skipped (their attempt still starts
+// a cool-down, so reactive policies do not stall on them); the scan
+// gives up after one pass over the candidate set.
 func (e *Engine) rotateBatch(rc malware.RotationControl, now float64) {
 	rotated := 0
 	for tries := 0; rotated < e.spec.Batch && tries < len(e.nodes); tries++ {
@@ -409,7 +374,7 @@ func (e *Engine) rotateBatch(rc malware.RotationControl, now float64) {
 		if idx < 0 {
 			return
 		}
-		if e.budget > 0 && e.spent+e.spec.CostPerRotation > e.budget {
+		if e.budget > 0 && e.spent+1 > e.budget {
 			return
 		}
 		if e.rotateNode(rc, idx, now) {
@@ -437,55 +402,46 @@ func (e *Engine) nextTarget(now float64) int {
 	return -1
 }
 
-// rotateNode rotates every spec class the node carries to a uniformly
-// drawn different variant, billing CostPerRotation once per node. It
-// reports whether anything actually rotated (placement-pinned classes
-// refuse); either way the node enters its cool-down.
+// rotateNode rotates the node's OS to a uniformly drawn different
+// variant, billing one cost unit. It reports whether the OS actually
+// rotated (a placement-pinned one refuses); either way the node enters
+// its cool-down.
 func (e *Engine) rotateNode(rc malware.RotationControl, idx int, now float64) bool {
-	cost := e.spec.CostPerRotation
 	id := e.nodes[idx].id
-	billed := false
-	for ci, class := range e.spec.Classes {
-		cur, ok := rc.Variant(id, class)
-		if !ok {
-			continue
-		}
-		pool := e.pools[ci]
-		// Uniform draw over the pool minus the current variant, without
-		// building a filtered slice (Tick stays allocation-free).
-		eligible := len(pool)
-		for _, v := range pool {
-			if v == cur {
-				eligible--
-			}
-		}
-		if eligible == 0 {
-			continue
-		}
-		k := 0
-		if eligible > 1 {
-			k = e.r.Intn(eligible)
-		}
-		var next exploits.VariantID
-		for _, v := range pool {
-			if v == cur {
-				continue
-			}
-			if k == 0 {
-				next = v
-				break
-			}
-			k--
-		}
-		bill := 0.0
-		if !billed {
-			bill = cost
-		}
-		if rc.Rotate(id, class, next, e.spec.Downtime, bill) && !billed {
-			billed = true
-			e.spent += cost
+	e.lastRot[idx] = now
+	cur, ok := rc.Variant(id, exploits.ClassOS)
+	if !ok {
+		return false
+	}
+	// Uniform draw over the pool minus the current variant, without
+	// building a filtered slice (Tick stays allocation-free).
+	eligible := len(e.pool)
+	for _, v := range e.pool {
+		if v == cur {
+			eligible--
 		}
 	}
-	e.lastRot[idx] = now
-	return billed
+	if eligible == 0 {
+		return false
+	}
+	k := 0
+	if eligible > 1 {
+		k = e.r.Intn(eligible)
+	}
+	var next exploits.VariantID
+	for _, v := range e.pool {
+		if v == cur {
+			continue
+		}
+		if k == 0 {
+			next = v
+			break
+		}
+		k--
+	}
+	if !rc.Rotate(id, exploits.ClassOS, next, e.spec.Downtime, 1) {
+		return false
+	}
+	e.spent++
+	return true
 }

@@ -32,9 +32,9 @@ func evalSpec(topo *topology.Topology, spec Spec, reps int, seed uint64) malware
 
 func TestParseSpec(t *testing.T) {
 	cases := map[string]Spec{
-		"periodic:24":    {Kind: Periodic, Period: 24, Batch: 1, CostPerRotation: 1, Classes: []exploits.Class{exploits.ClassOS}},
-		"triggered:48x2": {Kind: Triggered, Period: 48, Batch: 2, CostPerRotation: 1, Classes: []exploits.Class{exploits.ClassOS}},
-		"adaptive:72":    {Kind: Adaptive, Period: 72, Batch: 1, CostPerRotation: 1, Classes: []exploits.Class{exploits.ClassOS}},
+		"periodic:24":    {Kind: Periodic, Period: 24, Batch: 1},
+		"triggered:48x2": {Kind: Triggered, Period: 48, Batch: 2},
+		"adaptive:72":    {Kind: Adaptive, Period: 72, Batch: 1},
 	}
 	for sel, want := range cases {
 		got, err := ParseSpec(sel)
@@ -53,7 +53,7 @@ func TestParseSpec(t *testing.T) {
 	if err != nil || bare.Kind != Triggered || bare.Period != 48 {
 		t.Fatalf("bare selector: %+v, %v", bare, err)
 	}
-	for _, bad := range []string{"", "periodic:", "hourly:4", "periodic:x", "periodic:-3", "periodic:24x0", "periodic:24xq"} {
+	for _, bad := range []string{"", "periodic:", "hourly:4", "periodic:x", "periodic:-3", "periodic:24x0", "periodic:24xq", "periodic:Inf", "periodic:1e-310"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("%q: expected error", bad)
 		}
@@ -65,9 +65,9 @@ func TestSpecValidate(t *testing.T) {
 		{},
 		{Kind: Periodic},
 		{Kind: Periodic, Period: math.NaN()},
+		{Kind: Periodic, Period: math.Inf(1)},
 		{Kind: Periodic, Period: 24, Downtime: -1},
-		{Kind: Periodic, Period: 24, CostPerRotation: -2},
-		{Kind: Adaptive, Period: 24, Budget: -1},
+		{Kind: Periodic, Period: 24, Downtime: math.Inf(1)},
 		{Kind: Kind(9), Period: 24},
 	} {
 		if err := bad.Validate(); err == nil {
@@ -77,34 +77,29 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestPlannedCost(t *testing.T) {
-	periodic := Spec{Kind: Periodic, Period: 100, Batch: 2, CostPerRotation: 3}
-	if got := periodic.PlannedCost(720); got != 7*2*3 {
-		t.Errorf("periodic planned cost %.1f, want 42", got)
+	periodic := Spec{Kind: Periodic, Period: 100, Batch: 2}
+	if got := periodic.PlannedCost(720); got != 7*2 {
+		t.Errorf("periodic planned cost %.1f, want 14", got)
 	}
-	triggered := Spec{Kind: Triggered, Period: 100, CostPerRotation: 1}
+	triggered := Spec{Kind: Triggered, Period: 100}
 	if got := triggered.PlannedCost(720); got != 7 {
 		t.Errorf("triggered planned cost %.1f, want 7 (every poll priced)", got)
 	}
-	adaptive := Spec{Kind: Adaptive, Period: 100, CostPerRotation: 1, Budget: 5}
-	// Base rate 7 waves, capped by the explicit rotation budget.
-	if got := adaptive.PlannedCost(720); got != 5 {
-		t.Errorf("adaptive planned cost %.1f, want budget cap 5", got)
-	}
-	// Without an explicit Budget the base-rate figure doubles as the
-	// engine's enforced spend cap.
-	if got := (Spec{Kind: Adaptive, Period: 100, CostPerRotation: 1}).PlannedCost(720); got != 7 {
-		t.Errorf("uncapped adaptive planned cost %.1f, want 7", got)
+	// The base-rate figure doubles as the adaptive engine's enforced
+	// spend cap.
+	if got := (Spec{Kind: Adaptive, Period: 100}).PlannedCost(720); got != 7 {
+		t.Errorf("adaptive planned cost %.1f, want 7", got)
 	}
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
-	base := Spec{Kind: Periodic, Period: 24, Batch: 2, CostPerRotation: 1}
+	base := Spec{Kind: Periodic, Period: 24, Batch: 2}
 	fps := map[uint64]string{base.Fingerprint(): "base"}
 	for name, s := range map[string]Spec{
-		"kind":   {Kind: Triggered, Period: 24, Batch: 2, CostPerRotation: 1},
-		"period": {Kind: Periodic, Period: 48, Batch: 2, CostPerRotation: 1},
-		"batch":  {Kind: Periodic, Period: 24, Batch: 3, CostPerRotation: 1},
-		"seed":   {Kind: Periodic, Period: 24, Batch: 2, CostPerRotation: 1, Seed: 9},
+		"kind":     {Kind: Triggered, Period: 24, Batch: 2},
+		"period":   {Kind: Periodic, Period: 48, Batch: 2},
+		"batch":    {Kind: Periodic, Period: 24, Batch: 3},
+		"downtime": {Kind: Periodic, Period: 24, Batch: 2, Downtime: 1},
 	} {
 		fp := s.Fingerprint()
 		if prev, dup := fps[fp]; dup {
@@ -114,16 +109,38 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// Fingerprints feed candidate fingerprints (so evalstore keys) and the
+// engine's per-replication seed: they must not drift.
+func TestFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		sel  string
+		spec Spec
+		want uint64
+	}{
+		{sel: "periodic:24", want: 0xf9c82ace21085401},
+		{sel: "triggered:48x2", want: 0x8050d109e502f3c1},
+		{sel: "adaptive:72", want: 0xdacc2b1a5b54a6d9},
+		{spec: Spec{Kind: Adaptive, Period: 24, Batch: 2, Downtime: 2}, want: 0xbaa073481a6ec920},
+	} {
+		spec := c.spec
+		if c.sel != "" {
+			var err error
+			if spec, err = ParseSpec(c.sel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := spec.Fingerprint(); got != c.want {
+			t.Errorf("%+v: fingerprint %#x, want %#x", spec, got, c.want)
+		}
+	}
+}
+
 func TestNewEngineValidation(t *testing.T) {
 	topo := testTopo()
 	cat := exploits.StuxnetCatalog()
 	profile := malware.StuxnetProfile()
 	if _, err := NewEngine(Spec{}, topo, cat, profile); err == nil {
 		t.Fatal("invalid spec accepted")
-	}
-	// A class no node carries has nothing to rotate.
-	if _, err := NewEngine(Spec{Kind: Periodic, Period: 24, Classes: []exploits.Class{exploits.ClassFirewall}}, topo, cat, profile); err == nil {
-		t.Fatal("un-carried class accepted")
 	}
 }
 
@@ -205,19 +222,20 @@ func TestTriggeredNeedsDetections(t *testing.T) {
 	}
 }
 
-// The adaptive engine must respect its rotation budget in every
-// replication.
+// The adaptive engine must respect its rotation budget, the planned
+// cost, in every replication.
 func TestAdaptiveRespectsBudget(t *testing.T) {
 	topo := testTopo()
-	spec := Spec{Kind: Adaptive, Period: 24, Batch: 2, Budget: 6, CostPerRotation: 2}
+	spec := Spec{Kind: Adaptive, Period: 24, Batch: 2}
+	budget := spec.PlannedCost(720)
 	outs, err := malware.Evaluate(evalSpec(topo, spec, 8, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	spent := 0.0
 	for i, o := range outs {
-		if o.RotationCost > spec.Budget+1e-9 {
-			t.Fatalf("replication %d: spent %.1f over budget %.1f", i, o.RotationCost, spec.Budget)
+		if o.RotationCost > budget+1e-9 {
+			t.Fatalf("replication %d: spent %.1f over budget %.1f", i, o.RotationCost, budget)
 		}
 		spent += o.RotationCost
 	}
@@ -267,4 +285,33 @@ func TestRotationShrinksFoothold(t *testing.T) {
 			t.Fatal("static outcomes carry rotation measurements")
 		}
 	}
+}
+
+// Any selector either fails to parse or yields a usable schedule: a
+// finite period of at least a minute, a finite planned cost, and a Name
+// that parses back to the same spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, sel := range []string{
+		"periodic:24", "triggered:48x2", "adaptive:72", "adaptive:24x2", "triggered",
+		"", "periodic:", "hourly:4", "periodic:x", "periodic:-3", "periodic:24x0",
+		"periodic:24xq", "periodic:Inf", "periodic:1e-310",
+	} {
+		f.Add(sel)
+	}
+	f.Fuzz(func(t *testing.T, sel string) {
+		s, err := ParseSpec(sel)
+		if err != nil {
+			return
+		}
+		if !(s.Period > 0) || math.IsInf(s.Period, 0) {
+			t.Fatalf("%q: period %v", sel, s.Period)
+		}
+		if c := s.PlannedCost(720); math.IsInf(c, 0) || math.IsNaN(c) {
+			t.Fatalf("%q: planned cost %v", sel, c)
+		}
+		back, err := ParseSpec(s.Name())
+		if err != nil || back != s {
+			t.Fatalf("%q: Name %q parses back to %+v, %v; want %+v", sel, s.Name(), back, err, s)
+		}
+	})
 }

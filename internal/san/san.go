@@ -12,8 +12,7 @@
 //     when every input arc's place holds enough tokens and every input
 //     gate's predicate holds;
 //   - on completion an activity consumes its input arcs, selects one of
-//     its cases at random, then adds that case's output-arc tokens and
-//     executes its output gates.
+//     its cases at random, then adds that case's output-arc tokens.
 //
 // Timer semantics follow the Möbius default: a timed activity samples its
 // completion time when it becomes enabled and keeps it while it stays
@@ -67,21 +66,12 @@ type InputGate struct {
 	Enabled func(m Marking) bool
 }
 
-// OutputGate transforms the marking when a case is selected.
-type OutputGate struct {
-	Name string
-	Fn   func(m Marking)
-}
-
 // Case is one probabilistic outcome of an activity. Prob values of an
-// activity's cases must sum to 1 (validated). WeightFn, when set,
-// overrides Prob with a marking-dependent unnormalized weight.
+// activity's cases must sum to 1 (validated).
 type Case struct {
-	Name     string
-	Prob     float64
-	WeightFn func(m Marking) float64
-	Outputs  []Arc
-	Gates    []OutputGate
+	Name    string
+	Prob    float64
+	Outputs []Arc
 }
 
 // Activity is a SAN activity (transition).
@@ -169,8 +159,8 @@ func (m *Model) InstantActivity(name string) *Activity {
 }
 
 // Validate checks structural well-formedness: arcs reference declared
-// places, every activity has at least one case, fixed case probabilities
-// sum to 1, timed activities have a distribution.
+// places, every activity has at least one case, case probabilities sum
+// to 1, timed activities have a distribution.
 func (m *Model) Validate() error {
 	checkArc := func(owner string, arc Arc) error {
 		if arc.Place < 0 || int(arc.Place) >= len(m.placeNames) {
@@ -195,11 +185,7 @@ func (m *Model) Validate() error {
 			}
 		}
 		sum := 0.0
-		dynamic := false
 		for _, c := range a.cases {
-			if c.WeightFn != nil {
-				dynamic = true
-			}
 			sum += c.Prob
 			for _, arc := range c.Outputs {
 				if err := checkArc(a.name, arc); err != nil {
@@ -207,7 +193,7 @@ func (m *Model) Validate() error {
 				}
 			}
 		}
-		if !dynamic && math.Abs(sum-1) > 1e-9 {
+		if math.Abs(sum-1) > 1e-9 {
 			return fmt.Errorf("%w: activity %q case probabilities sum to %v, want 1",
 				ErrInvalidModel, a.name, sum)
 		}
@@ -308,54 +294,15 @@ func (s *Sim) fire(a *Activity) {
 	for _, arc := range c.Outputs {
 		s.marking[arc.Place] += arc.Tokens
 	}
-	for _, og := range c.Gates {
-		if og.Fn != nil {
-			og.Fn(s.marking)
-		}
-	}
 	if s.keep {
 		s.trace = append(s.trace, Firing{Time: s.eng.Now(), Activity: a.name, Case: c.Name})
 	}
 }
 
-// selectCase picks a case according to fixed probabilities or dynamic
-// weights.
+// selectCase picks a case according to its probabilities.
 func (s *Sim) selectCase(a *Activity) *Case {
 	if len(a.cases) == 1 {
 		return &a.cases[0]
-	}
-	dynamic := false
-	for i := range a.cases {
-		if a.cases[i].WeightFn != nil {
-			dynamic = true
-			break
-		}
-	}
-	if dynamic {
-		total := 0.0
-		weights := make([]float64, len(a.cases))
-		for i := range a.cases {
-			w := a.cases[i].Prob
-			if a.cases[i].WeightFn != nil {
-				w = a.cases[i].WeightFn(s.marking)
-			}
-			if w < 0 {
-				w = 0
-			}
-			weights[i] = w
-			total += w
-		}
-		if total <= 0 {
-			return &a.cases[0]
-		}
-		u := s.r.Float64() * total
-		for i, w := range weights {
-			u -= w
-			if u < 0 {
-				return &a.cases[i]
-			}
-		}
-		return &a.cases[len(a.cases)-1]
 	}
 	u := s.r.Float64()
 	for i := range a.cases {

@@ -79,7 +79,7 @@ func (RoundCompleted) Kind() string { return "round_completed" }
 // EvaluationBatch reports one simulated candidate: a batch of
 // replications fanned across the worker pool (or a single durable-store
 // serve). Cache hits emit no event of their own — the cumulative
-// counters carried here and on RoundCompleted keep the split visible
+// counters on RoundCompleted and RunFinished keep the split visible
 // without a ~400 ns event per memoized lookup.
 type EvaluationBatch struct {
 	Fingerprint  uint64
@@ -90,10 +90,6 @@ type EvaluationBatch struct {
 	// Duration is the wall time of this batch's simulation (0 for
 	// store serves).
 	Duration time.Duration
-	// Cumulative evaluator counters after this batch.
-	Evaluations int
-	CacheHits   int
-	StoreHits   int
 }
 
 // Kind implements Event.

@@ -278,11 +278,8 @@ type MeshedGridSpec struct {
 	// sum); entries must be positive (normalize panics otherwise, like
 	// the rng package on invalid parameters).
 	RegionSizes []int
-	// FeedersPerSub is the sensor/actuator pair count per substation;
-	// RegionFeeders optionally overrides it per region (region r uses
-	// RegionFeeders[r % len]), modeling regions with denser instrumentation.
+	// FeedersPerSub is the sensor/actuator pair count per substation.
 	FeedersPerSub int
-	RegionFeeders []int
 	// CrossTies is the number of substation-gateway links added between
 	// each pair of neighboring regions (meshing beyond the backbone ring).
 	CrossTies int
@@ -453,10 +450,6 @@ func NewMeshedGrid(spec MeshedGridSpec) *Topology {
 		t.Connect(rhmi, rhist, MediumLAN, "")
 		regionGWs = append(regionGWs, rgw)
 
-		feeders := spec.FeedersPerSub
-		if len(spec.RegionFeeders) > 0 {
-			feeders = spec.RegionFeeders[reg%len(spec.RegionFeeders)]
-		}
 		// Region reg owns substations [reg*N/R, (reg+1)*N/R) — or exactly
 		// its pinned RegionSizes share.
 		hi := (reg + 1) * spec.Substations / spec.Regions
@@ -473,7 +466,7 @@ func NewMeshedGrid(spec MeshedGridSpec) *Topology {
 					exploits.ClassProtocol:    pick(exploits.ClassProtocol, spec.DefaultProtocol),
 				})
 			t.Connect(sgw, rtu, MediumFieldbus, "")
-			for f := 0; f < feeders; f++ {
+			for f := 0; f < spec.FeedersPerSub; f++ {
 				sen := t.AddNode(fmt.Sprintf("sub-%d-ct-%d", sub, f), KindSensor, ZoneField, nil)
 				act := t.AddNode(fmt.Sprintf("sub-%d-breaker-%d", sub, f), KindActuator, ZoneField, nil)
 				t.Connect(rtu, sen, MediumSerial, "")

@@ -114,19 +114,20 @@ type ExplainOpts struct {
 	// Replications is the evaluation's total replication count (the
 	// sampled count is derived from the traces themselves).
 	Replications int
-	// TopPaths caps the path table (<= 0 → 10); MaxChokePoints caps the
-	// choke-point table (<= 0 → 24); MaxChronology caps the rotation
-	// chronology (<= 0 → 64).
-	TopPaths       int
-	MaxChokePoints int
-	MaxChronology  int
+	// TopPaths caps the path table (<= 0 → 10).
+	TopPaths int
 	// NodeName renders a node id (nil → "node<N>").
 	NodeName func(int32) string
 }
 
 // maxPathDepth bounds causal-chain walks; re-infection cycles after
-// rotation cures cannot loop past it.
-const maxPathDepth = 64
+// rotation cures cannot loop past it. maxChokePoints caps the
+// choke-point table and maxChronology the rotation chronology.
+const (
+	maxPathDepth   = 64
+	maxChokePoints = 24
+	maxChronology  = 64
+)
 
 // Explain aggregates sampled traces into one deterministic explanation
 // report. Traces must be in replication order (as EvaluateTraced
@@ -136,12 +137,6 @@ const maxPathDepth = 64
 func Explain(traces []Trace, opts ExplainOpts) Explanation {
 	if opts.TopPaths <= 0 {
 		opts.TopPaths = 10
-	}
-	if opts.MaxChokePoints <= 0 {
-		opts.MaxChokePoints = 24
-	}
-	if opts.MaxChronology <= 0 {
-		opts.MaxChronology = 64
 	}
 	name := opts.NodeName
 	if name == nil {
@@ -237,14 +232,14 @@ func Explain(traces []Trace, opts ExplainOpts) Explanation {
 					ex.RotationChurn.Evictions++
 					evictionSum += r.T
 				}
-				if len(chronology) < opts.MaxChronology {
+				if len(chronology) < maxChronology {
 					chronology = append(chronology, ChronologyEvent{Rep: tr.Rep, T: r.T, Kind: kind, Node: name(r.Node)})
 				} else {
 					ex.RotationChurn.Truncated++
 				}
 			case KindReinfect:
 				ex.RotationChurn.Reinfections++
-				if len(chronology) < opts.MaxChronology {
+				if len(chronology) < maxChronology {
 					chronology = append(chronology, ChronologyEvent{Rep: tr.Rep, T: r.T, Kind: "reinfect", Node: name(r.Node)})
 				} else {
 					ex.RotationChurn.Truncated++
@@ -284,9 +279,9 @@ func Explain(traces []Trace, opts ExplainOpts) Explanation {
 		}
 		return strings.Compare(a.Variant, b.Variant)
 	})
-	if len(chokeRows) > opts.MaxChokePoints {
-		ex.MoreChokePoints = len(chokeRows) - opts.MaxChokePoints
-		chokeRows = chokeRows[:opts.MaxChokePoints]
+	if len(chokeRows) > maxChokePoints {
+		ex.MoreChokePoints = len(chokeRows) - maxChokePoints
+		chokeRows = chokeRows[:maxChokePoints]
 	}
 	ex.ChokePoints = chokeRows
 

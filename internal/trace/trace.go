@@ -19,7 +19,7 @@
 // byte-identical outcomes to a traced one. Replication sampling
 // (Sampled) hashes the replication stream's non-advancing digest, so
 // WHICH replications are traced is deterministic per seed and
-// independent of worker count and batch size.
+// independent of worker count.
 //
 // The aggregation layer (Explain, in explain.go) folds a set of traces
 // into a deterministic explanation report: attack-path frequency trees,
@@ -206,7 +206,7 @@ type Trace struct {
 // non-advancing (rng.Rand.Digest), so the decision consumes no draw
 // from the replication stream — traced and untraced runs see identical
 // attack luck — and it is a pure function of the per-replication seed,
-// so the sampled set is independent of worker count and batch size.
+// so the sampled set is independent of worker count.
 func Sampled(digest uint64, rate float64) bool {
 	if rate <= 0 {
 		return false
