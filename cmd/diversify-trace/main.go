@@ -80,8 +80,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *reps < 0 || *workers < 0 || !(*horizon >= 0) || math.IsInf(*horizon, 1) {
-		return fmt.Errorf("-reps %d, -workers %d and -horizon %v must be non-negative and finite", *reps, *workers, *horizon)
+	if *reps < 0 || *workers < 0 || *limit < 0 || *topPaths < 0 || !(*horizon >= 0) || math.IsInf(*horizon, 1) {
+		return fmt.Errorf("-reps %d, -workers %d, -limit %d, -top-paths %d and -horizon %v must be non-negative and finite",
+			*reps, *workers, *limit, *topPaths, *horizon)
 	}
 	out := stdout
 	if *outPath != "" {

@@ -126,6 +126,7 @@ func TestNegativeFlagsRejected(t *testing.T) {
 	for _, mode := range []string{"dump", "summary", "diff"} {
 		for _, flags := range [][]string{
 			{"-reps", "-3"}, {"-horizon", "-1"}, {"-horizon", "NaN"}, {"-workers", "-2"},
+			{"-limit", "-1"}, {"-top-paths", "-1"},
 		} {
 			var out bytes.Buffer
 			if err := run(append([]string{"-mode", mode}, flags...), &out); err == nil {

@@ -122,6 +122,7 @@ func TestErrorLine(t *testing.T) {
 	}{
 		{[]string{"-reps", "-3"}, "optimize: invalid problem: reps -3 must not be negative"},
 		{[]string{"-pop", "-1"}, "optimize: invalid problem: population -1 must not be negative"},
+		{[]string{"-pop", "4"}, "optimize: invalid problem: population 4 must be at least 8"},
 		{[]string{"-iterations", "-5"}, "optimize: invalid problem: iterations -5 must not be negative"},
 		{[]string{"-platform-cost", "NaN"}, "optimize: invalid problem: platform cost NaN must be finite and not negative"},
 		{[]string{"-platform-cost", "-3"}, "optimize: invalid problem: platform cost -3 must be finite and not negative"},

@@ -193,13 +193,13 @@ func TestIntegrationFormalismConsistency(t *testing.T) {
 }
 
 // TestIntegrationDiversityIndicesTrackCampaign ties the diversity metrics
-// to measured security: configurations with higher Simpson index must not
-// yield faster attacks on average (rank agreement, not exact calibration).
+// to measured security: configurations with more distinct variants must
+// not yield faster attacks on average (rank agreement, not exact calibration).
 func TestIntegrationDiversityIndicesTrackCampaign(t *testing.T) {
 	cat := exploits.StuxnetCatalog()
 	type point struct {
-		simpson float64
-		tta     float64
+		distinct int
+		tta      float64
 	}
 	var points []point
 	for _, k := range []int{1, 4} {
@@ -226,10 +226,10 @@ func TestIntegrationDiversityIndicesTrackCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		points = append(points, point{simpson: profile.SimpsonIndex(), tta: tta.Mean})
+		points = append(points, point{distinct: profile.Distinct(), tta: tta.Mean})
 	}
-	if points[1].simpson <= points[0].simpson {
-		t.Fatalf("Simpson index did not grow with k: %+v", points)
+	if points[1].distinct <= points[0].distinct {
+		t.Fatalf("distinct variant count did not grow with k: %+v", points)
 	}
 	if points[1].tta <= points[0].tta {
 		t.Fatalf("higher diversity index but faster attack: %+v", points)

@@ -56,7 +56,7 @@ func (k Kind) String() string {
 }
 
 // Node is a tree node. Construct with the NewLeaf/NewAnd/... helpers and
-// treat as immutable afterwards except via WithLeafProbs.
+// treat as immutable afterwards.
 type Node struct {
 	Name     string
 	Kind     Kind
@@ -145,27 +145,6 @@ func (t *Tree) Validate() error {
 		return nil
 	}
 	return walk(t.Root)
-}
-
-// WithLeafProbs returns a deep copy of the tree with leaf probabilities
-// replaced according to probs (keyed by leaf name). Leaves not present in
-// probs keep their probability. This is the binding point for diversity
-// configurations: the same structural model evaluated under different
-// per-component exploitabilities.
-func (t *Tree) WithLeafProbs(probs map[string]float64) *Tree {
-	var cp func(n *Node) *Node
-	cp = func(n *Node) *Node {
-		nn := &Node{Name: n.Name, Kind: n.Kind, K: n.K, Prob: n.Prob, Time: n.Time}
-		if p, ok := probs[n.Name]; ok && n.Kind == Leaf {
-			nn.Prob = p
-		}
-		nn.Children = make([]*Node, len(n.Children))
-		for i, c := range n.Children {
-			nn.Children[i] = cp(c)
-		}
-		return nn
-	}
-	return &Tree{Root: cp(t.Root)}
 }
 
 // SuccessProbability computes the exact success probability of the root

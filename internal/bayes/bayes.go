@@ -89,25 +89,6 @@ func (n *Network) Add(name string, states []string, parents []VarID, cpt []float
 	return id, nil
 }
 
-// MustAdd is Add that panics on error; intended for statically-known
-// model construction in scenario builders and tests.
-func (n *Network) MustAdd(name string, states []string, parents []VarID, cpt []float64) VarID {
-	id, err := n.Add(name, states, parents, cpt)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
-// VarByName looks a variable up by name.
-func (n *Network) VarByName(name string) (*Variable, bool) {
-	id, ok := n.byName[name]
-	if !ok {
-		return nil, false
-	}
-	return n.vars[id], true
-}
-
 // Evidence maps variables to observed state indices.
 type Evidence map[VarID]int
 

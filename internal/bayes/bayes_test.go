@@ -8,17 +8,27 @@ import (
 	"diversify/internal/rng"
 )
 
+// mustAdd is Add for statically-known test networks.
+func mustAdd(t testing.TB, n *Network, name string, states []string, parents []VarID, cpt []float64) VarID {
+	t.Helper()
+	id, err := n.Add(name, states, parents, cpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 // sprinkler builds the classic Rain/Sprinkler/GrassWet network with the
 // standard parameterization (states ordered [F, T]).
 func sprinkler(t *testing.T) (*Network, VarID, VarID, VarID) {
 	t.Helper()
 	n := NewNetwork()
-	rain := n.MustAdd("Rain", []string{"F", "T"}, nil, []float64{0.8, 0.2})
-	sprk := n.MustAdd("Sprinkler", []string{"F", "T"}, []VarID{rain}, []float64{
+	rain := mustAdd(t, n, "Rain", []string{"F", "T"}, nil, []float64{0.8, 0.2})
+	sprk := mustAdd(t, n, "Sprinkler", []string{"F", "T"}, []VarID{rain}, []float64{
 		0.6, 0.4, // rain=F
 		0.99, 0.01, // rain=T
 	})
-	wet := n.MustAdd("GrassWet", []string{"F", "T"}, []VarID{sprk, rain}, []float64{
+	wet := mustAdd(t, n, "GrassWet", []string{"F", "T"}, []VarID{sprk, rain}, []float64{
 		1.0, 0.0, // sprk=F, rain=F
 		0.2, 0.8, // sprk=F, rain=T
 		0.1, 0.9, // sprk=T, rain=F
@@ -89,7 +99,7 @@ func TestQueryWithEvidenceOnQueryAncestor(t *testing.T) {
 
 func TestImpossibleEvidence(t *testing.T) {
 	n := NewNetwork()
-	a := n.MustAdd("A", []string{"F", "T"}, nil, []float64{1, 0})
+	a := mustAdd(t, n, "A", []string{"F", "T"}, nil, []float64{1, 0})
 	if _, err := n.Query(a, Evidence{a: 1}); err == nil {
 		t.Fatal("impossible evidence should error")
 	}
@@ -112,12 +122,12 @@ func TestAddValidation(t *testing.T) {
 	if _, err := n.Add("X", []string{"a", "b"}, []VarID{99}, []float64{0.5, 0.5}); !errors.Is(err, ErrInvalidNetwork) {
 		t.Fatal("unknown parent accepted")
 	}
-	x := n.MustAdd("X", []string{"a", "b"}, nil, []float64{0.5, 0.5})
+	x := mustAdd(t, n, "X", []string{"a", "b"}, nil, []float64{0.5, 0.5})
 	if _, err := n.Add("X", []string{"a", "b"}, nil, []float64{0.5, 0.5}); !errors.Is(err, ErrInvalidNetwork) {
 		t.Fatal("duplicate name accepted")
 	}
-	if v, ok := n.VarByName("X"); !ok || v.ID != x {
-		t.Fatal("VarByName lookup failed")
+	if v := n.vars[x]; v.ID != x || v.Name != "X" || n.byName["X"] != x {
+		t.Fatalf("added variable not registered: %+v", v)
 	}
 }
 
@@ -150,17 +160,17 @@ func TestForwardSamplingMatchesPrior(t *testing.T) {
 func attackStageNetwork(t *testing.T) (*Network, VarID, VarID, VarID, VarID, VarID) {
 	t.Helper()
 	n := NewNetwork()
-	osv := n.MustAdd("OS", []string{"os1", "os2"}, nil, []float64{0.5, 0.5})
-	fwv := n.MustAdd("Firewall", []string{"fw1", "fw2"}, nil, []float64{0.5, 0.5})
-	root := n.MustAdd("RootAccess", []string{"fail", "ok"}, []VarID{osv}, []float64{
+	osv := mustAdd(t, n, "OS", []string{"os1", "os2"}, nil, []float64{0.5, 0.5})
+	fwv := mustAdd(t, n, "Firewall", []string{"fw1", "fw2"}, nil, []float64{0.5, 0.5})
+	root := mustAdd(t, n, "RootAccess", []string{"fail", "ok"}, []VarID{osv}, []float64{
 		0.2, 0.8, // os1: easily exploited
 		0.9, 0.1, // os2: hardened
 	})
-	prop := n.MustAdd("Propagation", []string{"fail", "ok"}, []VarID{fwv}, []float64{
+	prop := mustAdd(t, n, "Propagation", []string{"fail", "ok"}, []VarID{fwv}, []float64{
 		0.3, 0.7,
 		0.8, 0.2,
 	})
-	attack := n.MustAdd("AttackSuccess", []string{"no", "yes"}, []VarID{root, prop}, []float64{
+	attack := mustAdd(t, n, "AttackSuccess", []string{"no", "yes"}, []VarID{root, prop}, []float64{
 		1, 0,
 		1, 0,
 		1, 0,
@@ -212,8 +222,8 @@ func TestQueryErrors(t *testing.T) {
 
 func TestThreeStateVariables(t *testing.T) {
 	n := NewNetwork()
-	osv := n.MustAdd("OS", []string{"xp", "w7", "linux"}, nil, []float64{0.3, 0.5, 0.2})
-	exp := n.MustAdd("Exploit", []string{"fail", "ok"}, []VarID{osv}, []float64{
+	osv := mustAdd(t, n, "OS", []string{"xp", "w7", "linux"}, nil, []float64{0.3, 0.5, 0.2})
+	exp := mustAdd(t, n, "Exploit", []string{"fail", "ok"}, []VarID{osv}, []float64{
 		0.1, 0.9,
 		0.5, 0.5,
 		0.95, 0.05,
@@ -238,9 +248,9 @@ func TestThreeStateVariables(t *testing.T) {
 
 func BenchmarkQuerySprinkler(b *testing.B) {
 	n := NewNetwork()
-	rain := n.MustAdd("Rain", []string{"F", "T"}, nil, []float64{0.8, 0.2})
-	sprk := n.MustAdd("Sprinkler", []string{"F", "T"}, []VarID{rain}, []float64{0.6, 0.4, 0.99, 0.01})
-	wet := n.MustAdd("GrassWet", []string{"F", "T"}, []VarID{sprk, rain},
+	rain := mustAdd(b, n, "Rain", []string{"F", "T"}, nil, []float64{0.8, 0.2})
+	sprk := mustAdd(b, n, "Sprinkler", []string{"F", "T"}, []VarID{rain}, []float64{0.6, 0.4, 0.99, 0.01})
+	wet := mustAdd(b, n, "GrassWet", []string{"F", "T"}, []VarID{sprk, rain},
 		[]float64{1, 0, 0.2, 0.8, 0.1, 0.9, 0.01, 0.99})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"diversify/internal/exploits"
@@ -121,21 +120,6 @@ func ProfileOf(t *topology.Topology, a *Assignment, c exploits.Class) Profile {
 
 // Distinct returns the number of distinct variants in use.
 func (p Profile) Distinct() int { return len(p.Counts) }
-
-// SimpsonIndex returns 1 − Σ pᵢ² (probability two random nodes differ).
-// The sum runs in variant-ID order: float addition is not associative,
-// so map order would leak into the low bits.
-func (p Profile) SimpsonIndex() float64 {
-	if p.Total == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, id := range slices.Sorted(maps.Keys(p.Counts)) {
-		q := float64(p.Counts[id]) / float64(p.Total)
-		s += q * q
-	}
-	return 1 - s
-}
 
 // CostModel prices a diversity configuration: each distinct variant
 // beyond the first per class costs a platform adoption fee, and every

@@ -21,14 +21,8 @@ func TestAssignmentOverlay(t *testing.T) {
 	plcs := topo.NodesOfKind(topology.KindPLC)
 	a.Set(plcs[0], exploits.ClassPLCFirmware, exploits.PLCModicon)
 
-	n0, err := topo.Node(plcs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	n1, err := topo.Node(plcs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	n0 := topo.Nodes()[plcs[0]]
+	n1 := topo.Nodes()[plcs[1]]
 	if v, ok := EffectiveVariant(a, n0, exploits.ClassPLCFirmware); !ok || v != exploits.PLCModicon {
 		t.Fatalf("overlay not applied: %v %v", v, ok)
 	}
@@ -75,11 +69,10 @@ func TestProfileIndices(t *testing.T) {
 	topo := testTopo()
 	// Monoculture: zero diversity.
 	mono := ProfileOf(topo, nil, exploits.ClassOS)
-	if mono.Distinct() != 1 || mono.SimpsonIndex() != 0 {
-		t.Fatalf("monoculture profile: distinct=%d S=%v",
-			mono.Distinct(), mono.SimpsonIndex())
+	if mono.Distinct() != 1 {
+		t.Fatalf("monoculture profile: distinct=%d counts=%v", mono.Distinct(), mono.Counts)
 	}
-	// Two equal halves: Simpson = 0.5.
+	// Two equal halves.
 	a := NewAssignment()
 	count := 0
 	for _, n := range topo.Nodes() {
@@ -101,8 +94,8 @@ func TestProfileIndices(t *testing.T) {
 	if p.Distinct() != 2 {
 		t.Fatalf("distinct = %d", p.Distinct())
 	}
-	if math.Abs(p.SimpsonIndex()-0.5) > 1e-9 {
-		t.Fatalf("Simpson = %v, want 0.5", p.SimpsonIndex())
+	if p.Counts[exploits.OSWin7] != count/2 || p.Counts[exploits.OSLinuxHMI] != count/2 || p.Total != count {
+		t.Fatalf("counts = %v total = %d, want %d each of %d", p.Counts, p.Total, count/2, count)
 	}
 }
 
@@ -186,10 +179,7 @@ func TestPlaceRandomFilter(t *testing.T) {
 		t.Fatal("filter excluded everything")
 	}
 	for _, id := range chosen {
-		n, err := topo.Node(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := topo.Nodes()[id]
 		if n.Zone != topology.ZoneControl {
 			t.Fatalf("filtered placement chose zone %v", n.Zone)
 		}
@@ -286,8 +276,8 @@ func TestSpreadVariants(t *testing.T) {
 	}
 }
 
-// Property: the Simpson index never decreases when going from a
-// monoculture (k=1) to k>1 spread variants.
+// Property: the distinct-variant count never decreases when going from
+// a monoculture (k=1) to k>1 spread variants.
 func TestQuickSpreadIncreasesDiversity(t *testing.T) {
 	topo := testTopo()
 	cat := exploits.StuxnetCatalog()
@@ -303,8 +293,7 @@ func TestQuickSpreadIncreasesDiversity(t *testing.T) {
 		}
 		pm := ProfileOf(topo, mono, exploits.ClassOS)
 		pk := ProfileOf(topo, multi, exploits.ClassOS)
-		return pk.SimpsonIndex() >= pm.SimpsonIndex()-1e-12 &&
-			pk.SimpsonIndex() <= 1
+		return pk.Distinct() >= pm.Distinct() && pk.Total == pm.Total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

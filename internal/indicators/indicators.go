@@ -56,14 +56,12 @@ type Outcome struct {
 	Compromised []Point
 
 	// Dynamic-diversity (moving-target rotation) measurements; all zero
-	// for a static deployment except FootholdTime and Contained, which
-	// are meaningful everywhere.
+	// for a static deployment except FootholdTime, which is meaningful
+	// everywhere.
 
 	// Rotations counts variant switches performed by the rotation policy
-	// over the replication; RotationCost is their accumulated cost in
-	// cost-model units.
-	Rotations    int
-	RotationCost float64
+	// over the replication.
+	Rotations int
 	// Reinfections counts compromises of nodes that had already been
 	// compromised and were cured by a rotation — the re-infection churn
 	// dynamic-diversity studies report.
@@ -73,10 +71,7 @@ type Outcome struct {
 	// compromised nodes. For a static deployment every compromised node
 	// contributes (horizon − its compromise time), as nothing ever
 	// evicts the intruder; rotation cures cut contributions short.
-	// Contained reports whether the network ended the replication fully
-	// clean.
 	FootholdTime float64
-	Contained    bool
 }
 
 // Clone returns an Outcome safe to retain after the producing campaign
@@ -172,58 +167,6 @@ func DetectionRate(outcomes []Outcome, level float64) (stats.Interval, error) {
 		}
 	}
 	return stats.ProportionCI(det, len(outcomes), level)
-}
-
-// MeanReinfections returns the mean re-infection count per replication
-// (0 for an empty sample) — the churn a moving-target rotation policy
-// forces on the attacker.
-func MeanReinfections(outcomes []Outcome) float64 {
-	if len(outcomes) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, o := range outcomes {
-		sum += float64(o.Reinfections)
-	}
-	return sum / float64(len(outcomes))
-}
-
-// FootholdSummary describes the aggregate intruder dwell (FootholdTime,
-// node-hours) over the replications in which anything was compromised.
-// It returns ErrNoData when no replication saw a compromise.
-func FootholdSummary(outcomes []Outcome) (stats.Summary, error) {
-	times := make([]float64, 0, len(outcomes))
-	for _, o := range outcomes {
-		if len(o.Compromised) == 0 {
-			continue
-		}
-		times = append(times, o.FootholdTime)
-	}
-	if len(times) == 0 {
-		return stats.Summary{}, fmt.Errorf("%w: no compromises", ErrNoData)
-	}
-	return stats.Describe(times), nil
-}
-
-// ContainmentRate returns the fraction of compromised replications that
-// ended fully clean again (every foothold evicted by the rotation
-// policy), with a Wilson interval. It returns ErrNoData when no
-// replication saw a compromise.
-func ContainmentRate(outcomes []Outcome, level float64) (stats.Interval, error) {
-	contained, compromised := 0, 0
-	for _, o := range outcomes {
-		if len(o.Compromised) == 0 {
-			continue
-		}
-		compromised++
-		if o.Contained {
-			contained++
-		}
-	}
-	if compromised == 0 {
-		return stats.Interval{}, fmt.Errorf("%w: no compromises", ErrNoData)
-	}
-	return stats.ProportionCI(contained, compromised, level)
 }
 
 // RatioAt evaluates a compromised-ratio step series at time t (the value

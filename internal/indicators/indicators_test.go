@@ -173,45 +173,3 @@ func TestOutcomeClone(t *testing.T) {
 		t.Fatal("Clone shares the series backing array")
 	}
 }
-
-// The dynamic-diversity estimators: the re-infection mean,
-// the foothold summary over compromised replications, and the
-// containment rate with its no-compromise error.
-func TestRotationEstimators(t *testing.T) {
-	outs := []Outcome{
-		{ // compromised, contained
-			Compromised:  []Point{{T: 10, Value: 0.1}},
-			Reinfections: 2, RotationCost: 4, FootholdTime: 100, Contained: true,
-			Horizon: 720,
-		},
-		{ // compromised, not contained
-			Compromised:  []Point{{T: 20, Value: 0.1}},
-			Reinfections: 0, RotationCost: 2, FootholdTime: 700,
-			Horizon: 720,
-		},
-		{ // never compromised: excluded from foothold/containment
-			Horizon: 720, RotationCost: 6,
-		},
-	}
-	if got := MeanReinfections(outs); got != 2.0/3 {
-		t.Errorf("MeanReinfections = %v, want 2/3", got)
-	}
-	fh, err := FootholdSummary(outs)
-	if err != nil || fh.Mean != 400 {
-		t.Errorf("FootholdSummary mean = %v (%v), want 400", fh.Mean, err)
-	}
-	rate, err := ContainmentRate(outs, 0.95)
-	if err != nil || rate.Point != 0.5 {
-		t.Errorf("ContainmentRate = %v (%v), want 0.5", rate.Point, err)
-	}
-	if MeanReinfections(nil) != 0 {
-		t.Error("empty-sample mean not zero")
-	}
-	clean := []Outcome{{Horizon: 720}}
-	if _, err := FootholdSummary(clean); err == nil {
-		t.Error("FootholdSummary accepted a compromise-free sample")
-	}
-	if _, err := ContainmentRate(clean, 0.95); err == nil {
-		t.Error("ContainmentRate accepted a compromise-free sample")
-	}
-}

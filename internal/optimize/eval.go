@@ -120,7 +120,7 @@ type Evaluator struct {
 type repSummary struct {
 	success, detected                   bool
 	detections, rotations, reinfections int
-	ttsf, ratio, dwell, foothold, cost  float64
+	ttsf, ratio, dwell, foothold        float64
 }
 
 // newEvaluator prepares the worker pool for a normalized, validated
@@ -318,7 +318,7 @@ func (e *Evaluator) simulate(c Candidate) (Score, error) {
 			success: out.Success, detected: out.Detected,
 			detections: out.Detections, rotations: out.Rotations, reinfections: out.Reinfections,
 			ttsf: ttsf, ratio: indicators.RatioAt(out.Compromised, out.Horizon),
-			dwell: out.DwellTime(), foothold: out.FootholdTime, cost: out.RotationCost,
+			dwell: out.DwellTime(), foothold: out.FootholdTime,
 		}
 		return nil
 	})
@@ -350,7 +350,6 @@ func (e *Evaluator) simulate(c Candidate) (Score, error) {
 		s.FinalRatio += r.ratio
 		s.MeanDetLatency += r.dwell
 		s.MeanFoothold += r.foothold
-		s.MeanRotationCost += r.cost
 	}
 	n := float64(e.p.Reps)
 	s.PSuccess = float64(succ) / n
@@ -362,7 +361,6 @@ func (e *Evaluator) simulate(c Candidate) (Score, error) {
 	s.MeanFoothold /= n
 	s.MeanRotations = float64(rot) / n
 	s.MeanReinfections = float64(reinf) / n
-	s.MeanRotationCost /= n
 	return s, nil
 }
 

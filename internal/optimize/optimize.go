@@ -217,8 +217,8 @@ type Problem struct {
 	// Iterations bounds the search: greedy rounds, NSGA-II generations
 	// (0 = strategy default; negative is an error).
 	Iterations int
-	// Population is the NSGA-II population size (0 = default 16;
-	// negative is an error).
+	// Population is the NSGA-II population size (0 = default 16; below
+	// 8 is an error).
 	Population int
 	// TraceSample, when positive, captures causal attack traces for this
 	// fraction of replications (deterministically sampled per Seed) while
@@ -234,6 +234,9 @@ type Problem struct {
 	// public search surface has no business observing replications.
 	repHook func(c Candidate, rep int)
 }
+
+// minPopulation is the smallest NSGA-II population the search accepts.
+const minPopulation = 8
 
 // normalize fills defaults in place.
 func (p *Problem) normalize() {
@@ -286,6 +289,9 @@ func (p *Problem) validate() error {
 		if f.n < 0 {
 			return fmt.Errorf("%w: %s %d must not be negative", ErrBadProblem, f.name, f.n)
 		}
+	}
+	if p.Population < minPopulation {
+		return fmt.Errorf("%w: population %d must be at least %d", ErrBadProblem, p.Population, minPopulation)
 	}
 	switch p.Objective {
 	case MinimizeSuccess, MinimizeRatio, MaximizeTTSF, MinimizeFoothold:
@@ -365,13 +371,12 @@ type Score struct {
 	// plus the rotation schedule's PlannedCost over the horizon.
 	Cost float64 `json:"cost"`
 	// MeanFoothold is the mean total time the intruder held at least one
-	// compromised node; MeanRotations / MeanReinfections /
-	// MeanRotationCost measure the dynamic-diversity churn (all zero for
-	// static candidates except MeanFoothold).
+	// compromised node; MeanRotations / MeanReinfections measure the
+	// dynamic-diversity churn (all zero for static candidates except
+	// MeanFoothold).
 	MeanFoothold     float64 `json:"mean_foothold"`
 	MeanRotations    float64 `json:"mean_rotations"`
 	MeanReinfections float64 `json:"mean_reinfections"`
-	MeanRotationCost float64 `json:"mean_rotation_cost"`
 	// Quarantined marks a candidate whose evaluation panicked repeatedly
 	// and was scored infeasible instead of crashing the run; every
 	// measurement field except Cost is meaningless. Quarantined

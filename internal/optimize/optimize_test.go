@@ -230,6 +230,7 @@ func TestNormalizeRejectsInvalid(t *testing.T) {
 		"negative reps":       {func(p *Problem) { p.Reps = -3 }, false, "optimize: invalid problem: reps -3 must not be negative"},
 		"negative workers":    {func(p *Problem) { p.Workers = -2 }, false, "optimize: invalid problem: workers -2 must not be negative"},
 		"negative population": {func(p *Problem) { p.Population = -1 }, false, "optimize: invalid problem: population -1 must not be negative"},
+		"small population":    {func(p *Problem) { p.Population = 7 }, false, "optimize: invalid problem: population 7 must be at least 8"},
 		"negative iterations": {func(p *Problem) { p.Iterations = -5 }, false, "optimize: invalid problem: iterations -5 must not be negative"},
 		"NaN platform cost":   {func(p *Problem) { p.Cost.PlatformCost = math.NaN() }, false, "optimize: invalid problem: platform cost NaN must be finite and not negative"},
 		"+Inf platform cost":  {func(p *Problem) { p.Cost.PlatformCost = math.Inf(1) }, false, ""},

@@ -70,9 +70,6 @@ func (pt *Pareto) Search(ctx context.Context, p *Problem, ev *Evaluator, r *rng.
 		gens = 20
 	}
 	popSize := p.Population
-	if popSize < 8 {
-		popSize = 8
-	}
 	ms := newMoveSpace(p)
 	score := func(members []Candidate) ([]pind, error) {
 		out := make([]pind, len(members))

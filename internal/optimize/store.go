@@ -142,12 +142,15 @@ func (e *Evaluator) storeKey(candFP uint64) evalstore.Key {
 
 // measurementsOf flattens a Score's raw measurements in the store's
 // fixed order — Value and Cost stay out, they are recomputed from the
-// consuming run's own objective and cost model.
+// consuming run's own objective and cost model. Slot 9 held a rotation
+// cost that always equalled the rotation count; it is written with
+// MeanRotations so records stay byte-identical to older logs, and
+// scoreFromMeasurements ignores it.
 func measurementsOf(s Score) evalstore.Measurements {
 	return evalstore.Measurements{
 		s.PSuccess, s.MeanTTSF, s.FinalRatio, s.PDetect, s.MeanDetLatency,
 		s.MeanDetections, s.MeanFoothold, s.MeanRotations, s.MeanReinfections,
-		s.MeanRotationCost,
+		s.MeanRotations,
 	}
 }
 
@@ -157,6 +160,6 @@ func scoreFromMeasurements(m evalstore.Measurements) Score {
 	return Score{
 		PSuccess: m[0], MeanTTSF: m[1], FinalRatio: m[2], PDetect: m[3],
 		MeanDetLatency: m[4], MeanDetections: m[5], MeanFoothold: m[6],
-		MeanRotations: m[7], MeanReinfections: m[8], MeanRotationCost: m[9],
+		MeanRotations: m[7], MeanReinfections: m[8],
 	}
 }

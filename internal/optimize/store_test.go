@@ -4,6 +4,8 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+
+	"diversify/internal/evalstore"
 )
 
 // Attaching the durable store must never change what a run computes —
@@ -127,5 +129,20 @@ func TestStoreIgnoresMismatchedSpec(t *testing.T) {
 	}
 	if other.Stats.StorePuts == 0 {
 		t.Fatal("run under a different seed stored nothing")
+	}
+}
+
+// Slot 9 of a record is retired: logs written while it carried a
+// separate rotation cost must decode to the same Score whatever the
+// slot holds, and a fresh record round-trips through it.
+func TestRetiredMeasurementSlotIgnored(t *testing.T) {
+	m := evalstore.Measurements{0.5, 100, 0.25, 0.75, 12, 3, 40, 2, 1, 2}
+	want := scoreFromMeasurements(m)
+	m[9] = 7
+	if got := scoreFromMeasurements(m); got != want {
+		t.Fatalf("slot 9 changed the decoded score: %+v vs %+v", got, want)
+	}
+	if got := scoreFromMeasurements(measurementsOf(want)); got != want {
+		t.Fatalf("round trip = %+v, want %+v", got, want)
 	}
 }

@@ -40,11 +40,15 @@ func TestInstrumentedRunsAreByteIdentical(t *testing.T) {
 				if res.Telemetry == nil {
 					t.Fatalf("workers=%d: sink attached but Result.Telemetry is nil", workers)
 				}
-				if rec.Count("run_started") != 1 || rec.Count("run_finished") != 1 {
-					t.Fatalf("workers=%d: stream not bracketed: %d started, %d finished",
-						workers, rec.Count("run_started"), rec.Count("run_finished"))
+				kinds := map[string]int{}
+				for _, e := range rec.Events() {
+					kinds[e.Kind()]++
 				}
-				if rec.Count("round_completed") == 0 || rec.Count("evaluation_batch") == 0 {
+				if kinds["run_started"] != 1 || kinds["run_finished"] != 1 {
+					t.Fatalf("workers=%d: stream not bracketed: %d started, %d finished",
+						workers, kinds["run_started"], kinds["run_finished"])
+				}
+				if kinds["round_completed"] == 0 || kinds["evaluation_batch"] == 0 {
 					t.Fatalf("workers=%d: missing rounds/batches in stream", workers)
 				}
 			}

@@ -64,22 +64,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// State returns the generator's full internal state without advancing
-// it, for checkpointing. SetState(State()) restores a generator that
-// continues the exact sequence from the snapshot point.
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState restores a state previously captured with State. An all-zero
-// state (never produced by a healthy generator, but reachable through a
-// corrupt checkpoint) is replaced with the canonical non-zero seed
-// state, since xoshiro must not run from all zeros.
-func (r *Rand) SetState(s [4]uint64) {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		s[0] = 0x9E3779B97F4A7C15
-	}
-	r.s = s
-}
-
 // Digest returns a 64-bit digest of the generator's current state
 // WITHOUT advancing it: a deterministic way to seed decorrelated
 // side-channel streams (e.g. a campaign's rotation-policy draws) that

@@ -164,8 +164,10 @@ func TestSplitSeedReproducesSplit(t *testing.T) {
 			}
 		}
 	}
-	if a.State() != b.State() {
-		t.Fatal("SplitSeed advanced the parent differently from Split")
+	for j := 0; j < 64; j++ {
+		if g, w := a.Uint64(), b.Uint64(); g != w {
+			t.Fatalf("parent draw %d after the splits: %x, want %x: SplitSeed advanced the parent differently from Split", j, g, w)
+		}
 	}
 }
 
@@ -364,35 +366,5 @@ func TestDigestNonAdvancing(t *testing.T) {
 	}
 	if New(8).Digest() == d1 {
 		t.Fatal("different seeds share a digest")
-	}
-}
-
-// State/SetState round-trip: a restored generator continues the exact
-// sequence from the snapshot point, and snapshotting does not advance.
-func TestStateRoundTrip(t *testing.T) {
-	r := New(42)
-	for i := 0; i < 17; i++ {
-		r.Uint64()
-	}
-	snap := r.State()
-	if r.State() != snap {
-		t.Fatal("State advanced the generator")
-	}
-	want := make([]uint64, 32)
-	for i := range want {
-		want[i] = r.Uint64()
-	}
-	restored := &Rand{}
-	restored.SetState(snap)
-	for i := range want {
-		if got := restored.Uint64(); got != want[i] {
-			t.Fatalf("draw %d: restored %d != original %d", i, got, want[i])
-		}
-	}
-	// An all-zero state from a corrupt snapshot must not wedge xoshiro.
-	var z Rand
-	z.SetState([4]uint64{})
-	if z.Uint64() == 0 && z.Uint64() == 0 && z.Uint64() == 0 {
-		t.Fatal("all-zero state produced a degenerate stream")
 	}
 }

@@ -439,7 +439,7 @@ func (e *Engine) rotateNode(rc malware.RotationControl, idx int, now float64) bo
 		}
 		k--
 	}
-	if !rc.Rotate(id, exploits.ClassOS, next, e.spec.Downtime, 1) {
+	if !rc.Rotate(id, exploits.ClassOS, next, e.spec.Downtime) {
 		return false
 	}
 	e.spent++

@@ -159,8 +159,8 @@ func TestPeriodicRotatesDeterministically(t *testing.T) {
 	totalRot := 0
 	for _, o := range want {
 		totalRot += o.Rotations
-		if o.RotationCost > spec.PlannedCost(720)+1e-9 {
-			t.Fatalf("realized cost %.1f exceeds planned %.1f", o.RotationCost, spec.PlannedCost(720))
+		if float64(o.Rotations) > spec.PlannedCost(720)+1e-9 {
+			t.Fatalf("realized cost %d exceeds planned %.1f", o.Rotations, spec.PlannedCost(720))
 		}
 	}
 	if totalRot == 0 {
@@ -234,10 +234,10 @@ func TestAdaptiveRespectsBudget(t *testing.T) {
 	}
 	spent := 0.0
 	for i, o := range outs {
-		if o.RotationCost > budget+1e-9 {
-			t.Fatalf("replication %d: spent %.1f over budget %.1f", i, o.RotationCost, budget)
+		if float64(o.Rotations) > budget+1e-9 {
+			t.Fatalf("replication %d: spent %d over budget %.1f", i, o.Rotations, budget)
 		}
-		spent += o.RotationCost
+		spent += float64(o.Rotations)
 	}
 	if spent == 0 {
 		t.Fatal("adaptive engine never rotated")
@@ -263,25 +263,26 @@ func TestRotationShrinksFoothold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staticFH, err := indicators.FootholdSummary(staticOuts)
-	if err != nil {
-		t.Fatal(err)
+	// Mean foothold over the replications that saw a compromise.
+	meanFoothold := func(outs []indicators.Outcome) float64 {
+		sum, n := 0.0, 0
+		for _, o := range outs {
+			if len(o.Compromised) > 0 {
+				sum += o.FootholdTime
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatal("no replication saw a compromise")
+		}
+		return sum / float64(n)
 	}
-	rotatedFH, err := indicators.FootholdSummary(rotatedOuts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rotatedFH.Mean >= staticFH.Mean {
-		t.Fatalf("rotation did not shrink mean foothold: rotated %.1f vs static %.1f", rotatedFH.Mean, staticFH.Mean)
-	}
-	if indicators.MeanReinfections(rotatedOuts) == 0 && indicators.MeanReinfections(staticOuts) != 0 {
-		t.Fatal("static deployment reported re-infections")
-	}
-	if rate, err := indicators.ContainmentRate(rotatedOuts, 0.95); err == nil && rate.Point == 0 {
-		t.Log("note: rotation never fully contained a compromised replication (acceptable, horizon-limited)")
+	staticFH, rotatedFH := meanFoothold(staticOuts), meanFoothold(rotatedOuts)
+	if rotatedFH >= staticFH {
+		t.Fatalf("rotation did not shrink mean foothold: rotated %.1f vs static %.1f", rotatedFH, staticFH)
 	}
 	for _, o := range staticOuts {
-		if o.Rotations != 0 || o.Reinfections != 0 || o.RotationCost != 0 {
+		if o.Rotations != 0 || o.Reinfections != 0 {
 			t.Fatal("static outcomes carry rotation measurements")
 		}
 	}

@@ -6,8 +6,8 @@
 // A SAN is a stochastic extension of Petri nets:
 //
 //   - places hold tokens; the vector of token counts is the marking;
-//   - activities (transitions) are timed (delay drawn from a distribution)
-//     or instantaneous;
+//   - activities (transitions) are timed: each completion delay is drawn
+//     from a distribution;
 //   - input arcs and input gates control enabling: an activity is enabled
 //     when every input arc's place holds enough tokens and every input
 //     gate's predicate holds;
@@ -30,11 +30,8 @@ import (
 	"diversify/internal/rng"
 )
 
-// Common errors returned by model validation and execution.
-var (
-	ErrInvalidModel = errors.New("san: invalid model")
-	ErrLivelock     = errors.New("san: instantaneous activity livelock")
-)
+// ErrInvalidModel is returned by model validation and execution.
+var ErrInvalidModel = errors.New("san: invalid model")
 
 // PlaceID identifies a place within its model.
 type PlaceID int
@@ -77,7 +74,6 @@ type Case struct {
 // Activity is a SAN activity (transition).
 type Activity struct {
 	name     string
-	timed    bool
 	dist     rng.Dist
 	resample bool
 	inputs   []Arc
@@ -124,7 +120,8 @@ func (a *Activity) Output(p PlaceID, tokens int) *Activity {
 
 // Model is a SAN definition: places, activities and an initial marking.
 // Build it with the fluent API, Validate it once, then execute it any
-// number of times with NewSim (each Sim owns an independent marking).
+// number of times with NewSimReusing (each Sim owns an independent
+// marking).
 type Model struct {
 	placeNames []string
 	initial    Marking
@@ -144,23 +141,14 @@ func (m *Model) Place(name string, initialTokens int) PlaceID {
 // TimedActivity declares an activity whose completion delay is drawn from
 // dist each time it becomes enabled.
 func (m *Model) TimedActivity(name string, dist rng.Dist) *Activity {
-	a := &Activity{name: name, timed: true, dist: dist, model: m, id: len(m.activities)}
-	m.activities = append(m.activities, a)
-	return a
-}
-
-// InstantActivity declares an activity that completes immediately upon
-// enabling (zero delay). Instantaneous activities fire in declaration
-// order when several are enabled at once.
-func (m *Model) InstantActivity(name string) *Activity {
-	a := &Activity{name: name, model: m, id: len(m.activities)}
+	a := &Activity{name: name, dist: dist, model: m, id: len(m.activities)}
 	m.activities = append(m.activities, a)
 	return a
 }
 
 // Validate checks structural well-formedness: arcs reference declared
 // places, every activity has at least one case, case probabilities sum
-// to 1, timed activities have a distribution.
+// to 1, every activity has a distribution.
 func (m *Model) Validate() error {
 	checkArc := func(owner string, arc Arc) error {
 		if arc.Place < 0 || int(arc.Place) >= len(m.placeNames) {
@@ -173,8 +161,8 @@ func (m *Model) Validate() error {
 		return nil
 	}
 	for _, a := range m.activities {
-		if a.timed && a.dist == nil {
-			return fmt.Errorf("%w: timed activity %q has no distribution", ErrInvalidModel, a.name)
+		if a.dist == nil {
+			return fmt.Errorf("%w: activity %q has no distribution", ErrInvalidModel, a.name)
 		}
 		if len(a.cases) == 0 {
 			return fmt.Errorf("%w: activity %q has no cases", ErrInvalidModel, a.name)
@@ -216,13 +204,6 @@ func (a *Activity) enabled(mk Marking) bool {
 	return true
 }
 
-// Firing records one activity completion in a trace.
-type Firing struct {
-	Time     float64
-	Activity string
-	Case     string
-}
-
 // Sim executes one trajectory of a Model. Create one Sim per replication;
 // a Sim is single-goroutine only.
 type Sim struct {
@@ -231,25 +212,16 @@ type Sim struct {
 	eng     *des.Sim
 	r       *rng.Rand
 	timers  []des.Handle // per activity; the zero Handle when not scheduled
-	trace   []Firing
-	keep    bool
-	maxInst int
 	err     error
 }
 
-// NewSim creates a simulator over model with the given RNG stream. The
-// model must have been validated; NewSim re-validates and returns the
-// error, if any.
-func NewSim(model *Model, r *rng.Rand) (*Sim, error) {
-	return NewSimReusing(model, r, nil)
-}
-
-// NewSimReusing is NewSim with a caller-provided scratch marking: the
-// initial marking is CopyInto'd scratch instead of freshly allocated, so
-// Monte-Carlo loops that build a Sim per replication can recycle one
-// buffer (per worker) across replications. The Sim owns the scratch for
-// its lifetime; once the run is over, Marking() returns it for reuse.
-// A nil scratch behaves exactly like NewSim.
+// NewSimReusing creates a simulator over model with the given RNG
+// stream. It re-validates the model and returns the error, if any. The
+// initial marking is CopyInto'd scratch, so Monte-Carlo loops that build
+// a Sim per replication can recycle one buffer (per worker) across
+// replications; a nil scratch allocates a fresh marking. The Sim owns
+// the scratch for its lifetime; once the run is over, Marking() returns
+// it for reuse.
 func NewSimReusing(model *Model, r *rng.Rand, scratch Marking) (*Sim, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -260,17 +232,9 @@ func NewSimReusing(model *Model, r *rng.Rand, scratch Marking) (*Sim, error) {
 		eng:     des.NewSim(),
 		r:       r,
 		timers:  make([]des.Handle, len(model.activities)),
-		maxInst: 10000,
 	}
 	return s, nil
 }
-
-// KeepTrace enables recording of every firing (off by default to keep
-// campaign memory bounded).
-func (s *Sim) KeepTrace() { s.keep = true }
-
-// Trace returns the recorded firings (empty unless KeepTrace was called).
-func (s *Sim) Trace() []Firing { return s.trace }
 
 // Marking returns the live marking (do not mutate).
 func (s *Sim) Marking() Marking { return s.marking }
@@ -294,9 +258,6 @@ func (s *Sim) fire(a *Activity) {
 	for _, arc := range c.Outputs {
 		s.marking[arc.Place] += arc.Tokens
 	}
-	if s.keep {
-		s.trace = append(s.trace, Firing{Time: s.eng.Now(), Activity: a.name, Case: c.Name})
-	}
 }
 
 // selectCase picks a case according to its probabilities.
@@ -314,37 +275,10 @@ func (s *Sim) selectCase(a *Activity) *Case {
 	return &a.cases[len(a.cases)-1]
 }
 
-// resync brings timers in line with the new marking: fires enabled
-// instantaneous activities to quiescence, cancels timers of disabled
-// activities, schedules timers for newly enabled ones.
+// resync brings timers in line with the new marking: cancels timers of
+// disabled activities, schedules timers for newly enabled ones.
 func (s *Sim) resync() {
-	// Drain instantaneous activities first (in declaration order).
-	for iter := 0; ; iter++ {
-		if iter > s.maxInst {
-			s.err = ErrLivelock
-			s.eng.Stop()
-			return
-		}
-		fired := false
-		for _, a := range s.model.activities {
-			if !a.timed && a.enabled(s.marking) {
-				s.fire(a)
-				if s.err != nil {
-					return
-				}
-				fired = true
-				break // marking changed; restart the scan
-			}
-		}
-		if !fired {
-			break
-		}
-	}
-	// Reconcile timed activity timers.
 	for _, a := range s.model.activities {
-		if !a.timed {
-			continue
-		}
 		timer := s.timers[a.id]
 		active := !timer.Cancelled()
 		en := a.enabled(s.marking)
@@ -379,19 +313,6 @@ func (s *Sim) schedule(a *Activity) {
 			s.resync()
 		}
 	})
-}
-
-// Run executes the SAN until the horizon. Returns any execution error
-// (livelock, negative marking, invalid sample).
-func (s *Sim) Run(horizon float64) error {
-	s.resync()
-	if s.err != nil {
-		return s.err
-	}
-	if err := s.eng.Run(horizon); err != nil && !errors.Is(err, des.ErrStopped) {
-		return err
-	}
-	return s.err
 }
 
 // RunUntil executes until pred(marking) holds or the horizon passes. It

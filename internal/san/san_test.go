@@ -10,13 +10,54 @@ import (
 	"diversify/internal/rng"
 )
 
-func mustSim(t *testing.T, m *Model, seed uint64) *Sim {
+func mustSim(t testing.TB, m *Model, seed uint64) *Sim {
 	t.Helper()
-	s, err := NewSim(m, rng.New(seed))
+	s, err := NewSimReusing(m, rng.New(seed), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// runTo runs s to the horizon.
+func runTo(t testing.TB, s *Sim, horizon float64) {
+	t.Helper()
+	if _, _, err := s.RunUntil(horizon, func(Marking) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// step is one point of a trajectory: a time and the marking then.
+type step struct {
+	t  float64
+	mk Marking
+}
+
+// trajectory runs s to the horizon and returns the initial marking
+// followed by the marking after every completion, read through
+// RunUntil's predicate, which is checked after every fired event.
+func trajectory(t testing.TB, s *Sim, horizon float64) []step {
+	t.Helper()
+	var steps []step
+	_, _, err := s.RunUntil(horizon, func(mk Marking) bool {
+		steps = append(steps, step{t: s.Now(), mk: slices.Clone(mk)})
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return steps
+}
+
+// firstDivergence returns the first index at which a and b differ,
+// or -1.
+func firstDivergence(a, b []step) int {
+	for i := range max(len(a), len(b)) {
+		if i >= len(a) || i >= len(b) || a[i].t != b[i].t || !slices.Equal(a[i].mk, b[i].mk) {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestSimpleTimedTransfer(t *testing.T) {
@@ -26,16 +67,12 @@ func TestSimpleTimedTransfer(t *testing.T) {
 	m.TimedActivity("move", rng.Deterministic{Value: 2.5}).Input(src, 1).Output(dst, 1)
 
 	s := mustSim(t, m, 1)
-	s.KeepTrace()
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
+	tr := trajectory(t, s, 10)
 	if s.Marking().Tokens(src) != 0 || s.Marking().Tokens(dst) != 1 {
 		t.Fatalf("marking = %v, want [0 1]", s.Marking())
 	}
-	tr := s.Trace()
-	if len(tr) != 1 || tr[0].Time != 2.5 || tr[0].Activity != "move" {
-		t.Fatalf("trace = %+v", tr)
+	if len(tr) != 2 || tr[1].t != 2.5 || !slices.Equal(tr[1].mk, Marking{0, 1}) {
+		t.Fatalf("trajectory = %+v, want one completion at 2.5", tr)
 	}
 }
 
@@ -45,9 +82,7 @@ func TestActivityWaitsForTokens(t *testing.T) {
 	dst := m.Place("dst", 0)
 	m.TimedActivity("move", rng.Deterministic{Value: 1}).Input(src, 1).Output(dst, 1)
 	s := mustSim(t, m, 1)
-	if err := s.Run(100); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, s, 100)
 	if s.Marking().Tokens(dst) != 0 {
 		t.Fatal("disabled activity fired")
 	}
@@ -59,9 +94,7 @@ func TestMultiTokenArc(t *testing.T) {
 	dst := m.Place("dst", 0)
 	m.TimedActivity("batch", rng.Deterministic{Value: 1}).Input(src, 2).Output(dst, 1)
 	s := mustSim(t, m, 1)
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, s, 10)
 	// 5 tokens allow two firings (consuming 4), leaving 1.
 	if s.Marking().Tokens(src) != 1 || s.Marking().Tokens(dst) != 2 {
 		t.Fatalf("marking = %v, want src=1 dst=2", s.Marking())
@@ -81,9 +114,7 @@ func TestCaseProbabilities(t *testing.T) {
 			Case(Case{Name: "toA", Prob: 0.3, Outputs: []Arc{{Place: a, Tokens: 1}}}).
 			Case(Case{Name: "toB", Prob: 0.7, Outputs: []Arc{{Place: b, Tokens: 1}}})
 		s := mustSim(t, m, uint64(i))
-		if err := s.Run(2); err != nil {
-			t.Fatal(err)
-		}
+		runTo(t, s, 2)
 		if s.Marking().Tokens(a) == 1 {
 			wins++
 		}
@@ -106,52 +137,13 @@ func TestInputGateBlocks(t *testing.T) {
 	m.TimedActivity("opener", rng.Deterministic{Value: 3}).Input(aux, 1).Output(gate, 1)
 
 	s := mustSim(t, m, 1)
-	s.KeepTrace()
-	if err := s.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	tr := s.Trace()
-	if len(tr) != 2 {
-		t.Fatalf("trace = %+v", tr)
+	tr := trajectory(t, s, 100)
+	if len(tr) != 3 {
+		t.Fatalf("trajectory = %+v, want two completions", tr)
 	}
 	// "open" samples its 5-unit delay only once enabled at t=3 → fires at 8.
-	if tr[1].Activity != "open" || tr[1].Time != 8 {
-		t.Fatalf("gated activity fired at %v, want 8: %+v", tr[1].Time, tr)
-	}
-}
-
-func TestInstantaneousChain(t *testing.T) {
-	m := NewModel()
-	a := m.Place("a", 1)
-	b := m.Place("b", 0)
-	c := m.Place("c", 0)
-	m.InstantActivity("ab").Input(a, 1).Output(b, 1)
-	m.InstantActivity("bc").Input(b, 1).Output(c, 1)
-	s := mustSim(t, m, 1)
-	s.KeepTrace()
-	if err := s.Run(1); err != nil {
-		t.Fatal(err)
-	}
-	if s.Marking().Tokens(c) != 1 {
-		t.Fatalf("chain did not complete: %v", s.Marking())
-	}
-	for _, f := range s.Trace() {
-		if f.Time != 0 {
-			t.Fatalf("instantaneous firing at t=%v", f.Time)
-		}
-	}
-}
-
-func TestLivelockDetected(t *testing.T) {
-	m := NewModel()
-	a := m.Place("a", 1)
-	b := m.Place("b", 0)
-	m.InstantActivity("ab").Input(a, 1).Output(b, 1)
-	m.InstantActivity("ba").Input(b, 1).Output(a, 1)
-	s := mustSim(t, m, 1)
-	err := s.Run(1)
-	if !errors.Is(err, ErrLivelock) {
-		t.Fatalf("err = %v, want ErrLivelock", err)
+	if tr[2].t != 8 || tr[2].mk.Tokens(dst) != 1 {
+		t.Fatalf("gated activity fired at %v, want 8: %+v", tr[2].t, tr)
 	}
 }
 
@@ -169,9 +161,7 @@ func TestRaceCancelsLoserTimer(t *testing.T) {
 		m.TimedActivity("fast", rng.Exponential{Rate: r1}).Input(src, 1).Output(a, 1)
 		m.TimedActivity("slow", rng.Exponential{Rate: r2}).Input(src, 1).Output(b, 1)
 		s := mustSim(t, m, uint64(i)+999)
-		if err := s.Run(1000); err != nil {
-			t.Fatal(err)
-		}
+		runTo(t, s, 1000)
 		total := s.Marking().Tokens(a) + s.Marking().Tokens(b)
 		if total != 1 {
 			t.Fatalf("race produced %d tokens, want exactly 1", total)
@@ -262,25 +252,10 @@ func TestDeterminismSameSeed(t *testing.T) {
 			Case(Case{Name: "back", Prob: 0.4, Outputs: []Arc{{Place: src, Tokens: 1}}})
 		return m
 	}
-	run := func() []Firing {
-		s, err := NewSim(build(), rng.New(77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.KeepTrace()
-		if err := s.Run(50); err != nil {
-			t.Fatal(err)
-		}
-		return s.Trace()
-	}
+	run := func() []step { return trajectory(t, mustSim(t, build(), 77), 50) }
 	t1, t2 := run(), run()
-	if len(t1) != len(t2) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(t1), len(t2))
-	}
-	for i := range t1 {
-		if t1[i] != t2[i] {
-			t.Fatalf("traces diverge at %d: %+v vs %+v", i, t1[i], t2[i])
-		}
+	if i := firstDivergence(t1, t2); i >= 0 {
+		t.Fatalf("trajectories diverge at step %d of %d/%d", i, len(t1), len(t2))
 	}
 }
 
@@ -295,11 +270,11 @@ func TestQuickTokenConservation(t *testing.T) {
 		m.TimedActivity("ab", rng.Exponential{Rate: 2}).Input(a, 1).Output(b, 1)
 		m.TimedActivity("bc", rng.Exponential{Rate: 3}).Input(b, 1).Output(c, 1)
 		m.TimedActivity("ca", rng.Exponential{Rate: 1}).Input(c, 1).Output(a, 1)
-		s, err := NewSim(m, rng.New(seed))
+		s, err := NewSimReusing(m, rng.New(seed), nil)
 		if err != nil {
 			return false
 		}
-		if err := s.Run(20); err != nil {
+		if _, _, err := s.RunUntil(20, func(Marking) bool { return false }); err != nil {
 			return false
 		}
 		mk := s.Marking()
@@ -320,9 +295,7 @@ func TestResampleFlag(t *testing.T) {
 	m.TimedActivity("toA", rng.Exponential{Rate: 1}).Input(src, 1).Output(a, 1).SetResample(true)
 	m.TimedActivity("toB", rng.Exponential{Rate: 1}).Input(src, 1).Output(b, 1).SetResample(true)
 	s := mustSim(t, m, 5)
-	if err := s.Run(1000); err != nil {
-		t.Fatal(err)
-	}
+	runTo(t, s, 1000)
 	mk := s.Marking()
 	if mk[src] != 0 || mk[a]+mk[b] != 5 {
 		t.Fatalf("marking = %v", mk)
@@ -351,10 +324,7 @@ func TestAttackStagePipelineShape(t *testing.T) {
 	succ := 0
 	const reps = 2000
 	for i := 0; i < reps; i++ {
-		s, err := NewSim(m, rng.New(uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mustSim(t, m, uint64(i))
 		ok, _, err := s.RunUntil(1e6, func(mk Marking) bool {
 			return mk[stages[len(stages)-1]] > 0 || mk[aborted] > 0
 		})
@@ -385,13 +355,7 @@ func BenchmarkSANRing(b *testing.B) {
 		m.TimedActivity("ab", rng.Exponential{Rate: 2}).Input(a, 1).Output(bb, 1)
 		m.TimedActivity("bc", rng.Exponential{Rate: 3}).Input(bb, 1).Output(c, 1)
 		m.TimedActivity("ca", rng.Exponential{Rate: 1}).Input(c, 1).Output(a, 1)
-		s, err := NewSim(m, rng.New(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Run(100); err != nil {
-			b.Fatal(err)
-		}
+		runTo(b, mustSim(b, m, uint64(i)), 100)
 	}
 }
 
@@ -419,10 +383,7 @@ func TestResampleStarvation(t *testing.T) {
 	}
 	// Keep semantics: stage completes at t=2.
 	m, done := build(false)
-	s, err := NewSim(m, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSim(t, m, 1)
 	ok, at, err := s.RunUntil(10, func(mk Marking) bool { return mk.Tokens(done) > 0 })
 	if err != nil {
 		t.Fatal(err)
@@ -432,10 +393,7 @@ func TestResampleStarvation(t *testing.T) {
 	}
 	// Resample semantics: heartbeat every 0.9 restarts the 2.0 timer.
 	m, done = build(true)
-	s, err = NewSim(m, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s = mustSim(t, m, 1)
 	ok, _, err = s.RunUntil(10, func(mk Marking) bool { return mk.Tokens(done) > 0 })
 	if err != nil {
 		t.Fatal(err)
@@ -463,10 +421,7 @@ func TestResampleExponentialEquivalence(t *testing.T) {
 			stage.SetResample(resample)
 			m.TimedActivity("beat", rng.Exponential{Rate: 1.1}).
 				Input(beat, 1).Output(beat, 1)
-			s, err := NewSim(m, rng.New(seed+uint64(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := mustSim(t, m, seed+uint64(i))
 			ok, at, err := s.RunUntil(1e6, func(mk Marking) bool { return mk.Tokens(done) > 0 })
 			if err != nil {
 				t.Fatal(err)
@@ -509,9 +464,9 @@ func TestMarkingCopyInto(t *testing.T) {
 	}
 }
 
-// A Sim on a recycled scratch marking must replay exactly like a fresh
-// one under the same stream — the contract the replication loops in
-// scope/experiments rely on.
+// A Sim on a recycled scratch marking must replay exactly like one on a
+// freshly allocated marking under the same stream — the contract the
+// replication loops in scope/experiments rely on.
 func TestNewSimReusingMatchesFresh(t *testing.T) {
 	build := func() (*Model, PlaceID) {
 		m := NewModel()
@@ -526,34 +481,19 @@ func TestNewSimReusingMatchesFresh(t *testing.T) {
 	var scratch Marking
 	for seed := uint64(1); seed <= 6; seed++ {
 		m, _ := build()
-		fresh, err := NewSim(m, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh.KeepTrace()
-		if err := fresh.Run(20); err != nil {
-			t.Fatal(err)
-		}
+		fresh := mustSim(t, m, seed)
+		ft := trajectory(t, fresh, 20)
 		m2, _ := build()
 		reused, err := NewSimReusing(m2, rng.New(seed), scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused.KeepTrace()
-		if err := reused.Run(20); err != nil {
-			t.Fatal(err)
-		}
+		rt := trajectory(t, reused, 20)
 		if !slices.Equal(fresh.Marking(), reused.Marking()) {
 			t.Fatalf("seed %d: markings diverged: %v vs %v", seed, fresh.Marking(), reused.Marking())
 		}
-		ft, rt := fresh.Trace(), reused.Trace()
-		if len(ft) != len(rt) {
-			t.Fatalf("seed %d: trace lengths %d vs %d", seed, len(ft), len(rt))
-		}
-		for i := range ft {
-			if ft[i] != rt[i] {
-				t.Fatalf("seed %d: trace[%d] %+v vs %+v", seed, i, ft[i], rt[i])
-			}
+		if i := firstDivergence(ft, rt); i >= 0 {
+			t.Fatalf("seed %d: trajectories diverge at step %d of %d/%d", seed, i, len(ft), len(rt))
 		}
 		scratch = reused.Marking() // recycle into the next replication
 	}

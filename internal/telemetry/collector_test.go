@@ -47,9 +47,6 @@ func TestCollectorReport(t *testing.T) {
 	if got := r.StrategyWallSeconds["pareto"]; math.Abs(got-0.15) > 1e-9 {
 		t.Fatalf("pareto wall = %v, want 0.15", got)
 	}
-	if got := []string{"greedy", "pareto"}; r.Strategies()[0] != got[0] || r.Strategies()[1] != got[1] {
-		t.Fatalf("Strategies() = %v", r.Strategies())
-	}
 	// Ratios derive from RunFinished: 60 hits over 100 lookups; 3 log
 	// hits over 40 evaluations (opening a log announces what it holds,
 	// not what it serves).

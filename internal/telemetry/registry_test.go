@@ -11,8 +11,9 @@ import (
 func TestCounterGaugeSemantics(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("diversify_rounds_total", "rounds")
-	c.Inc()
-	c.Add(4)
+	for range 5 {
+		c.Inc()
+	}
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
@@ -53,8 +54,12 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter(`diversify_rounds_total{strategy="greedy"}`, "completed rounds").Add(7)
-	reg.Counter(`diversify_rounds_total{strategy="pareto"}`, "completed rounds").Add(3)
+	for strategy, rounds := range map[string]int{"greedy": 7, "pareto": 3} {
+		c := reg.Counter(`diversify_rounds_total{strategy="`+strategy+`"}`, "completed rounds")
+		for range rounds {
+			c.Inc()
+		}
+	}
 	reg.Gauge("diversify_best_value", "best objective value").Set(0.125)
 	h := reg.Histogram("diversify_eval_latency_seconds", "eval latency", []float64{0.01, 0.1})
 	h.Observe(0.005)

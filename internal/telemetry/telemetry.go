@@ -240,20 +240,3 @@ func (r *Recorder) Events() []Event {
 	copy(out, r.events)
 	return out
 }
-
-// Count returns how many events of the given kind were recorded ("" =
-// all events).
-func (r *Recorder) Count(kind string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if kind == "" {
-		return len(r.events)
-	}
-	n := 0
-	for _, e := range r.events {
-		if e.Kind() == kind {
-			n++
-		}
-	}
-	return n
-}

@@ -164,7 +164,7 @@ func TestMeshedGridMeshingRedundancy(t *testing.T) {
 			// ring guarantees at least two gateway-side neighbors.
 			gwNeighbors := 0
 			for _, nb := range topo.Neighbors(n.ID) {
-				nd, _ := topo.Node(nb.Node)
+				nd := topo.Nodes()[nb.Node]
 				if nd.Kind == KindGateway {
 					gwNeighbors++
 				}
@@ -191,7 +191,7 @@ func TestMeshedGridNormalization(t *testing.T) {
 	if err := partial.ValidateComponents(exploits.StuxnetCatalog()); err != nil {
 		t.Fatal(err)
 	}
-	rtu, _ := partial.Node(partial.NodesOfKind(KindPLC)[0])
+	rtu := partial.Nodes()[partial.NodesOfKind(KindPLC)[0]]
 	if rtu.Components[exploits.ClassPLCFirmware] != exploits.PLCABB {
 		t.Fatal("explicit DefaultPLC overridden by normalization")
 	}

@@ -31,9 +31,6 @@ import (
 	"diversify/internal/exploits"
 )
 
-// ErrUnknownNode reports a reference to an undeclared node.
-var ErrUnknownNode = errors.New("topology: unknown node")
-
 // NodeID identifies a node within its topology.
 type NodeID int
 
@@ -306,14 +303,6 @@ func (t *Topology) buildSeal() *sealedGraph {
 
 // Len returns the number of nodes.
 func (t *Topology) Len() int { return len(t.nodes) }
-
-// Node returns the node with the given ID.
-func (t *Topology) Node(id NodeID) (Node, error) {
-	if int(id) < 0 || int(id) >= len(t.nodes) {
-		return Node{}, fmt.Errorf("%w: %d", ErrUnknownNode, id)
-	}
-	return t.nodes[id], nil
-}
 
 // Nodes returns all nodes in ID order. The slice is shared; treat as
 // read-only.

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"errors"
 	"testing"
 
 	"diversify/internal/exploits"
@@ -21,12 +20,8 @@ func line(t *testing.T) (*Topology, NodeID, NodeID, NodeID) {
 
 func TestAddAndLookup(t *testing.T) {
 	tp, a, _, _ := line(t)
-	n, err := tp.Node(a)
-	if err != nil || n.Name != "a" || n.Kind != KindCorporatePC {
-		t.Fatalf("node = %+v err = %v", n, err)
-	}
-	if _, err := tp.Node(NodeID(99)); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v", err)
+	if n := tp.Nodes()[a]; n.Name != "a" || n.Kind != KindCorporatePC {
+		t.Fatalf("node = %+v", n)
 	}
 	if tp.Len() != 3 {
 		t.Fatalf("Len = %d", tp.Len())
@@ -38,10 +33,7 @@ func TestComponentsCopied(t *testing.T) {
 	src := map[exploits.Class]exploits.VariantID{exploits.ClassOS: exploits.OSWin7}
 	id := tp.AddNode("x", KindHMI, ZoneControl, src)
 	src[exploits.ClassOS] = exploits.OSWinXPSP2
-	n, err := tp.Node(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := tp.Nodes()[id]
 	if n.Components[exploits.ClassOS] != exploits.OSWin7 {
 		t.Fatal("AddNode did not copy the components map")
 	}
@@ -208,10 +200,7 @@ func TestTieredSCADAStructure(t *testing.T) {
 	}
 	// Every PLC carries the default firmware variant.
 	for _, id := range tp.NodesOfKind(KindPLC) {
-		n, err := tp.Node(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := tp.Nodes()[id]
 		if n.Components[exploits.ClassPLCFirmware] != spec.DefaultPLC {
 			t.Fatalf("PLC %d firmware = %v", id, n.Components[exploits.ClassPLCFirmware])
 		}
